@@ -555,10 +555,10 @@ std::vector<QueryReport> SimSubEngine::QueryBatch(
 QueryReport SimSubEngine::QueryTopKSubtrajectories(
     std::span<const geo::Point> query,
     const similarity::SimilarityMeasure& measure, int k, PruningFilter filter,
-    int min_size, const std::atomic<bool>* cancel,
-    std::chrono::steady_clock::time_point deadline) const {
+    int min_size, const SubtrajectoryTopKOptions& options) const {
   SIMSUB_CHECK(!query.empty());
   SIMSUB_CHECK_GT(k, 0);
+  SIMSUB_CHECK_GE(min_size, 1);
   util::Stopwatch timer;
   QueryReport report;
   report.filter_used = filter;
@@ -566,28 +566,74 @@ QueryReport SimSubEngine::QueryTopKSubtrajectories(
       CandidateOrdinals(query, filter, /*index_margin=*/0.0);
   report.trajectories_pruned = static_cast<int64_t>(database_.size()) -
                                static_cast<int64_t>(candidates.size());
-  const bool has_deadline =
-      deadline != std::chrono::steady_clock::time_point::max();
+
+  const similarity::DistanceAggregation agg =
+      options.prune ? measure.aggregation()
+                    : similarity::DistanceAggregation::kOther;
+  if (agg != similarity::DistanceAggregation::kOther) EnsureSoa();
+  std::unique_ptr<similarity::PrefixEvaluator> owned;
+  similarity::PrefixEvaluator* eval =
+      similarity::AcquireEvaluator(measure, query, options.scratch, &owned);
+
+  // One global heap; its k-th distance is the admission threshold (+inf
+  // until it fills). A candidate strictly above it is worse than k kept
+  // entries and can never enter; one equal to it still can, through the
+  // EntryBetter tie-break.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   TopKHeap heap;
-  for (int64_t ordinal : candidates) {
-    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
+  double threshold = kInf;
+  auto offer = [&](int64_t id, geo::SubRange range, double distance) {
+    if (distance > threshold) return;
+    OfferEntry(heap, k, TopKEntry{id, range, distance});
+    if (static_cast<int>(heap.size()) == k) threshold = heap.top().distance;
+  };
+
+  // Polled per trajectory and per start point (one DP row scan each), with
+  // the same relaxed-load / clock-only-with-a-deadline idiom as Query().
+  const bool has_deadline =
+      options.deadline != std::chrono::steady_clock::time_point::max();
+  auto interrupted = [&] {
+    if (options.cancel != nullptr &&
+        options.cancel->load(std::memory_order_relaxed)) {
       report.status = util::Status::Cancelled("query cancelled mid-scan");
-      break;
-    }
-    if (has_deadline && std::chrono::steady_clock::now() >= deadline) {
+    } else if (has_deadline &&
+               std::chrono::steady_clock::now() >= options.deadline) {
       report.status = util::Status::DeadlineExceeded(
           "deadline expired mid-scan (partial results)");
-      break;
     }
+    return !report.status.ok();
+  };
+
+  for (int64_t ordinal : candidates) {
+    if (interrupted()) break;
     const geo::Trajectory& traj = database_[static_cast<size_t>(ordinal)];
     if (traj.empty()) continue;
     ++report.trajectories_scanned;
-    // Per-trajectory cap of k suffices: at most k global winners can come
-    // from one trajectory.
-    for (const algo::RankedCandidate& cand :
-         algo::TopKExact(measure, traj.View(), query, k, min_size)) {
-      OfferEntry(heap, k, TopKEntry{traj.id(), cand.range, cand.distance});
+    // Both endpoint bounds hold for every subtrajectory, whatever its size.
+    if (threshold < kInf && agg != similarity::DistanceAggregation::kOther &&
+        (algo::MbrLowerBound(agg, TrajectoryMbr(ordinal), query) >
+             threshold ||
+         algo::NearestEndpointLowerBound(agg, TrajectorySoa(ordinal), query) >
+             threshold)) {
+      ++report.lb_skipped;
+      continue;
     }
+    const std::span<const geo::Point> pts = traj.View();
+    const int n = static_cast<int>(pts.size());
+    for (int i = 0; i < n; ++i) {
+      if (i > 0 && interrupted()) break;
+      double d = eval->Start(pts[static_cast<size_t>(i)]);
+      if (min_size <= 1) offer(traj.id(), geo::SubRange(i, i), d);
+      for (int j = i + 1; j < n; ++j) {
+        if (options.prune && eval->ExtensionLowerBound() > threshold) {
+          ++report.dp_abandoned;
+          break;
+        }
+        d = eval->Extend(pts[static_cast<size_t>(j)]);
+        if (j - i + 1 >= min_size) offer(traj.id(), geo::SubRange(i, j), d);
+      }
+    }
+    if (!report.status.ok()) break;
   }
   report.results = ExtractAscending(heap);
   report.seconds = timer.ElapsedSeconds();

@@ -10,10 +10,11 @@
 // thread count: top-k ties are broken by (distance, trajectory_id,
 // range.start, range.end).
 //
-// Top-k queries additionally run a lower-bound pruning cascade (UCR-style,
-// see algo/lower_bounds.h): a best-kth-distance threshold shared atomically
-// across workers discards candidates from their cached MBR / SoA lower
-// bounds and early-abandons the DP inside the per-trajectory search.
+// Top-k queries, per-trajectory and subtrajectory-level alike, additionally
+// run a lower-bound pruning cascade (UCR-style, see algo/lower_bounds.h): a
+// best-kth-distance threshold (shared atomically across workers) discards
+// candidates from their cached MBR / SoA lower bounds and early-abandons
+// the DP.
 // Pruned results are bit-identical to unpruned ones at any thread count;
 // QueryOptions::prune turns the cascade off for measurement.
 #ifndef SIMSUB_ENGINE_ENGINE_H_
@@ -27,7 +28,6 @@
 #include <vector>
 
 #include "algo/search.h"
-#include "algo/topk.h"
 #include "geo/mbr.h"
 #include "geo/points_store.h"
 #include "geo/soa.h"
@@ -140,6 +140,19 @@ struct QueryOptions {
       std::chrono::steady_clock::time_point::max();
 };
 
+/// Execution knobs for SimSubEngine::QueryTopKSubtrajectories. Each field
+/// has the contract of the QueryOptions field of the same name, except that
+/// `cancel` and `deadline` are checked per start point, not only between
+/// trajectories.
+struct SubtrajectoryTopKOptions {
+  bool prune = true;
+  /// Evaluator scratch; null allocates one evaluator for the call.
+  similarity::EvaluatorCache* scratch = nullptr;
+  const std::atomic<bool>* cancel = nullptr;
+  std::chrono::steady_clock::time_point deadline =
+      std::chrono::steady_clock::time_point::max();
+};
+
 /// One query of a batched scan (SimSubEngine::QueryBatch). The points span
 /// and the cancel flag (when set) must stay valid until the batch returns.
 struct BatchedQueryView {
@@ -231,23 +244,21 @@ class SimSubEngine {
       const BatchQueryOptions& options) const;
 
   /// Global *subtrajectory-level* top-k (paper Section 3.1's "top-k similar
-  /// subtrajectories" generalization): exhaustively enumerates every
-  /// subtrajectory of every candidate trajectory with the incremental
-  /// evaluator and keeps the k best overall — a data trajectory may
-  /// contribute several results. `min_size` filters near-duplicate
-  /// single-point answers (see algo::TopKExact). `cancel` is the same
-  /// cooperative flag as QueryOptions::cancel: checked between per-
-  /// trajectory enumerations; once set, the scan stops and the report comes
-  /// back with status Cancelled and partial results. `deadline` mirrors
-  /// QueryOptions::deadline: checked in the same enumeration loop; past
-  /// it, the report comes back DeadlineExceeded with partial results.
+  /// subtrajectories" generalization): enumerates the subtrajectories of
+  /// every candidate trajectory with the incremental evaluator, as ExactS
+  /// does, and keeps the k best overall — a data trajectory may contribute
+  /// several results. Candidates shorter than `min_size` points are left
+  /// out (the raw top-k is otherwise dominated by near-duplicates of the
+  /// optimum). With options.prune, the k-th best distance so far is pushed
+  /// down as a threshold: trajectories whose MBR / nearest-endpoint lower
+  /// bound exceeds it are skipped (lb_skipped), and a start point stops
+  /// extending once the evaluator's ExtensionLowerBound() exceeds it
+  /// (dp_abandoned). Results are bit-identical with pruning on or off.
   QueryReport QueryTopKSubtrajectories(
       std::span<const geo::Point> query,
       const similarity::SimilarityMeasure& measure, int k,
       PruningFilter filter = PruningFilter::kNone, int min_size = 1,
-      const std::atomic<bool>* cancel = nullptr,
-      std::chrono::steady_clock::time_point deadline =
-          std::chrono::steady_clock::time_point::max()) const;
+      const SubtrajectoryTopKOptions& options = {}) const;
 
   /// Cached per-trajectory MBRs (built at construction — tiny, and shared
   /// by the index builders and the cascade's O(1) bound).

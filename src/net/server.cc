@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <utility>
 
 #include "net/wire.h"
@@ -21,13 +22,28 @@ namespace simsub::net {
 
 namespace {
 
-/// A shed/refusal answer: a full REPORT frame whose status explains the
-/// refusal — clients handle sheds exactly like any other non-OK report.
+/// A status-only answer (shed, refusal or failed execution): a full REPORT
+/// frame whose status explains it — clients handle these exactly like any
+/// other non-OK report.
 engine::QueryReport ShedReport(util::Status status) {
   engine::QueryReport report;
   report.status = std::move(status);
   return report;
 }
+
+/// Holds one in-flight slot (already counted by the caller's fetch_add)
+/// and releases it on every exit path, exceptions included: a leaked slot
+/// would shrink the admission window for good.
+class InflightSlot {
+ public:
+  explicit InflightSlot(std::atomic<int>& inflight) : inflight_(inflight) {}
+  ~InflightSlot() { inflight_.fetch_sub(1, std::memory_order_acq_rel); }
+  InflightSlot(const InflightSlot&) = delete;
+  InflightSlot& operator=(const InflightSlot&) = delete;
+
+ private:
+  std::atomic<int>& inflight_;
+};
 
 void AppendLine(std::string& out, const char* name, int64_t value) {
   char buf[96];
@@ -274,13 +290,23 @@ void Server::HandleConnection(int fd) {
           "server overloaded: " + std::to_string(max_inflight) +
           " queries in flight"));
     } else {
+      InflightSlot slot(inflight_);
       // `query` (the WireQuery) owns the point storage the spec views; it
       // stays on this frame until the future resolves, so the span stays
-      // valid for the whole execution.
-      std::future<engine::QueryReport> future =
-          service_.Submit(std::move(query->spec));
-      report = future.get();
-      inflight_.fetch_sub(1, std::memory_order_acq_rel);
+      // valid for the whole execution. An execution that throws is
+      // answered, not propagated: the client gets a typed Internal report
+      // and the connection keeps serving.
+      try {
+        std::future<engine::QueryReport> future =
+            service_.Submit(std::move(query->spec));
+        report = future.get();
+      } catch (const std::exception& e) {
+        report = ShedReport(util::Status::Internal(
+            std::string("query execution failed: ") + e.what()));
+      } catch (...) {
+        report = ShedReport(
+            util::Status::Internal("query execution failed: unknown error"));
+      }
       stats_.queries_answered.fetch_add(1, std::memory_order_relaxed);
     }
 

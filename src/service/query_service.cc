@@ -183,7 +183,7 @@ size_t QueryService::resolved_cache_size() const {
 
 engine::QueryReport QueryService::ExecuteSpec(
     const QuerySpec& spec, const Resolved& resolved,
-    similarity::EvaluatorCache* scratch,
+    similarity::EvaluatorCache& scratch,
     std::chrono::steady_clock::time_point deadline) {
   PlanDecision plan;
   if (spec.filter.has_value()) {
@@ -194,14 +194,17 @@ engine::QueryReport QueryService::ExecuteSpec(
     plan = planner_.Plan(spec.points, options_.index_margin);
   }
 
+  const bool prune = options_.prune && spec.prune;
   engine::QueryReport report;
   if (resolved.topk_mode) {
-    // Note: spec.prune does not apply here — the exhaustive subtrajectory
-    // enumeration has no lower-bound cascade (see QuerySpec::prune).
+    engine::SubtrajectoryTopKOptions to;
+    to.prune = prune;
+    to.scratch = &scratch;
+    to.cancel = spec.cancel;
+    to.deadline = deadline;
     report = engine_.QueryTopKSubtrajectories(spec.points, *resolved.measure,
                                               spec.k, plan.filter,
-                                              spec.min_size, spec.cancel,
-                                              deadline);
+                                              spec.min_size, to);
   } else {
     const algo::SubtrajectorySearch* search = resolved.search.get();
     std::unique_ptr<algo::SubtrajectorySearch> fresh;
@@ -212,14 +215,13 @@ engine::QueryReport QueryService::ExecuteSpec(
       fresh = std::move(*made);
       search = fresh.get();
     }
-    SIMSUB_CHECK(scratch != nullptr);
     engine::QueryOptions eo;
     eo.k = spec.k;
     eo.filter = plan.filter;
     eo.index_margin = options_.index_margin;
     eo.threads = 1;  // inter-query parallelism only; the scan stays inline
-    eo.scratch = scratch;
-    eo.prune = options_.prune && spec.prune;
+    eo.scratch = &scratch;
+    eo.prune = prune;
     eo.cancel = spec.cancel;
     eo.deadline = deadline;
     report = engine_.Query(spec.points, *search, eo);
@@ -273,9 +275,10 @@ std::shared_ptr<const QueryService::Resolved> QueryService::PreflightSpec(
   util::Status invalid;
   if (spec.points.empty()) {
     invalid = util::Status::InvalidArgument("spec.points must be non-empty");
-  } else if (spec.k <= 0) {
-    invalid = util::Status::InvalidArgument("spec.k must be > 0, got " +
-                                            std::to_string(spec.k));
+  } else if (spec.k <= 0 || spec.k > kMaxK) {
+    invalid = util::Status::InvalidArgument(
+        "spec.k must be in [1, " + std::to_string(kMaxK) + "], got " +
+        std::to_string(spec.k));
   } else if (spec.min_size < 1) {
     invalid = util::Status::InvalidArgument(
         "spec.min_size must be >= 1, got " + std::to_string(spec.min_size));
@@ -337,22 +340,16 @@ engine::QueryReport QueryService::ServeSpec(
   if (resolved == nullptr) return report;
 
   double queue_seconds = report.queue_seconds;
-  if (resolved->topk_mode) {
-    // The topk-sub engine path takes no evaluator cache: skip the lease
-    // (and its lock round-trip / possible allocation on foreign threads).
-    report = ExecuteSpec(spec, *resolved, nullptr, deadline);
-  } else {
 #if SIMSUB_FAILPOINTS_COMPILED
-    // Simulates scratch-lease acquisition failure (e.g. allocation).
-    if (util::Status fp = util::FailpointFire("service.scratch"); !fp.ok()) {
-      report.status = std::move(fp);
-      stats_.failed.fetch_add(1, std::memory_order_relaxed);
-      return report;
-    }
-#endif
-    ScratchLease lease(*this);
-    report = ExecuteSpec(spec, *resolved, &lease.get(), deadline);
+  // Simulates scratch-lease acquisition failure (e.g. allocation).
+  if (util::Status fp = util::FailpointFire("service.scratch"); !fp.ok()) {
+    report.status = std::move(fp);
+    stats_.failed.fetch_add(1, std::memory_order_relaxed);
+    return report;
   }
+#endif
+  ScratchLease lease(*this);
+  report = ExecuteSpec(spec, *resolved, lease.get(), deadline);
   report.queue_seconds = queue_seconds;
   CountOutcome(report);
   return report;

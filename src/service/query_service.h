@@ -194,6 +194,11 @@ class QueryService {
   /// a freed-and-reused address must not serve a stale policy.
   static constexpr size_t kMaxResolvedSpecs = 256;
 
+  /// Largest accepted QuerySpec::k. Caps the top-k heap and the REPORT a
+  /// request can make the service build: a topk-sub spec with a huge k
+  /// would otherwise keep every subtrajectory of the corpus.
+  static constexpr int kMaxK = 10'000;
+
  private:
   /// A resolved (measure, search) pair, immutable once constructed and
   /// shared by every request with the same measure/algorithm configuration.
@@ -263,14 +268,14 @@ class QueryService {
                  std::vector<std::promise<engine::QueryReport>>& promises,
                  std::chrono::steady_clock::time_point submitted);
 
-  /// `scratch` may be null only in topk_mode (whose engine path takes no
-  /// evaluator cache); the other paths require it. `deadline` is the
-  /// absolute execution deadline derived from spec.deadline_ms (anchored at
-  /// submit time; time_point::max() when the spec sets none) and is
-  /// enforced inside the engine scan, not just in the queue.
+  /// `scratch` is the calling thread's evaluator cache (ScratchLease).
+  /// `deadline` is the absolute execution deadline derived from
+  /// spec.deadline_ms (anchored at submit time; time_point::max() when the
+  /// spec sets none) and is enforced inside the engine scan, not just in
+  /// the queue.
   engine::QueryReport ExecuteSpec(
       const QuerySpec& spec, const Resolved& resolved,
-      similarity::EvaluatorCache* scratch,
+      similarity::EvaluatorCache& scratch,
       std::chrono::steady_clock::time_point deadline);
 
   engine::QueryReport Execute(const BatchQuery& query,

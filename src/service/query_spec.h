@@ -44,30 +44,33 @@ struct QuerySpec {
   std::string algorithm = "exacts";
   algo::SearchOptions algorithm_options;
 
-  /// Number of results (> 0).
+  /// Number of results, in [1, QueryService::kMaxK].
   int k = 10;
-  /// Minimum subtrajectory size (>= 1); consulted by "topk-sub" only.
+  /// Minimum subtrajectory size (>= 1); consulted by "topk-sub" only. It
+  /// filters results, not pruning: the cascade's trajectory bounds hold
+  /// for subtrajectories of every size.
   int min_size = 1;
 
   /// Explicit pruning filter; nullopt lets the planner decide per query.
   std::optional<engine::PruningFilter> filter;
   /// Per-request lower-bound-cascade toggle (AND-ed with the service-wide
-  /// ServiceOptions::prune; results are bit-identical either way). Does not
-  /// apply to "topk-sub": the exhaustive subtrajectory enumeration has no
-  /// lower-bound cascade to toggle.
+  /// ServiceOptions::prune; results are bit-identical either way). Applies
+  /// to every algorithm, "topk-sub" included, whose enumeration then skips
+  /// trajectories and abandons start points against its k-th distance.
   bool prune = true;
 
   /// Relative deadline in milliseconds, measured from Submit(). Enforced
   /// end-to-end: a request still queued when it expires is answered with a
   /// DeadlineExceeded report instead of running, and a request that starts
   /// on time but runs past the deadline stops mid-scan at per-trajectory
-  /// granularity, returning DeadlineExceeded with the partial results
-  /// accumulated so far (see engine::QueryOptions::deadline). 0 = no
-  /// deadline.
+  /// granularity ("topk-sub": per start point), returning DeadlineExceeded
+  /// with the partial results accumulated so far (see
+  /// engine::QueryOptions::deadline). 0 = no deadline.
   double deadline_ms = 0.0;
 
   /// Caller-owned cooperative cancellation flag, checked before execution
-  /// and between per-trajectory searches inside the scan. A tripped flag
+  /// and between per-trajectory searches ("topk-sub": start points) inside
+  /// the scan. A tripped flag
   /// yields a Cancelled report (partial results, do not use).
   const std::atomic<bool>* cancel = nullptr;
 };

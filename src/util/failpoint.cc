@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <limits>
 #include <random>
+#include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
@@ -17,7 +18,7 @@ namespace simsub::util {
 namespace {
 
 struct SitePolicy {
-  enum class Action { kError, kAbort, kDelay };
+  enum class Action { kError, kAbort, kDelay, kThrow };
   enum class Trigger { kAlways, kOnce, kNth, kTimes, kProb };
 
   Action action = Action::kError;
@@ -71,6 +72,8 @@ Status ParsePolicy(const std::string& policy, SitePolicy* out) {
     out->action = SitePolicy::Action::kError;
   } else if (action == "abort") {
     out->action = SitePolicy::Action::kAbort;
+  } else if (action == "throw") {
+    out->action = SitePolicy::Action::kThrow;
   } else if (action.rfind("delay:", 0) == 0) {
     out->action = SitePolicy::Action::kDelay;
     const char* digits = action.c_str() + 6;
@@ -86,7 +89,7 @@ Status ParsePolicy(const std::string& policy, SitePolicy* out) {
     }
     out->delay_ms = static_cast<int>(ms);
   } else {
-    return bad("unknown action (want error|abort|delay:<ms>|off)");
+    return bad("unknown action (want error|abort|throw|delay:<ms>|off)");
   }
 
   if (trigger.empty()) {
@@ -237,6 +240,8 @@ Status FireSlow(const char* site) {
       // exactly what the machine losing power mid-write looks like to the
       // file system state the next process finds.
       std::_Exit(kFailpointAbortExitCode);
+    case SitePolicy::Action::kThrow:
+      throw std::runtime_error(std::string("failpoint '") + site + "' threw");
     case SitePolicy::Action::kDelay:
       if (delay_ms > 0) ::poll(nullptr, 0, delay_ms);
       return Status::OK();

@@ -19,6 +19,8 @@
 //   action:   error       return IOError("failpoint '<site>' fired")
 //             abort       std::_Exit(kFailpointAbortExitCode) at the site
 //                         (crash simulation: no cleanup handlers run)
+//             throw       throw std::runtime_error at the site (tests the
+//                         exception safety of the callers above it)
 //             delay:<ms>  sleep, then proceed OK (latency injection)
 //             off         remove the site's policy
 //   trigger:  (none)      every hit                      "error"
@@ -69,7 +71,8 @@ constexpr bool FailpointsCompiledIn() {
 
 /// Evaluates the site against its configured policy. Returns OK when no
 /// policy is set or the trigger does not fire; IOError when an `error`
-/// policy fires; does not return when an `abort` policy fires. `site`
+/// policy fires; throws std::runtime_error when a `throw` policy fires;
+/// does not return when an `abort` policy fires. `site`
 /// must have static storage duration (sites are string literals).
 [[nodiscard]] Status FailpointFire(const char* site);
 

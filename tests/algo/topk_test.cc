@@ -1,17 +1,23 @@
-#include "algo/topk.h"
-
+// Subtrajectory-level top-k (paper Section 3.1: the exact enumeration,
+// "simply maintaining the k most similar subtrajectories"), run through
+// SimSubEngine::QueryTopKSubtrajectories over small databases. Every query
+// runs with the pruning cascade on and off, and the two must agree bit for
+// bit.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <cstring>
 #include <set>
+#include <vector>
 
 #include "algo/exacts.h"
+#include "engine/engine.h"
 #include "similarity/dtw.h"
 #include "util/random.h"
 
 namespace simsub::algo {
 namespace {
 
+using engine::TopKEntry;
 using geo::Point;
 
 std::vector<Point> Line(std::initializer_list<double> xs) {
@@ -22,38 +28,38 @@ std::vector<Point> Line(std::initializer_list<double> xs) {
 
 similarity::DtwMeasure kDtw;
 
-TEST(TopKCollectorTest, KeepsSmallestK) {
-  TopKCollector collector(3);
-  for (int i = 10; i >= 1; --i) {
-    collector.Offer(geo::SubRange(i, i), static_cast<double>(i));
+/// Top-k over `db`, pruned; EXPECTs the unpruned run to match bit for bit.
+std::vector<TopKEntry> TopK(std::vector<geo::Trajectory> db,
+                            const std::vector<Point>& query, int k,
+                            int min_size = 1) {
+  engine::SimSubEngine engine(std::move(db));
+  auto run = [&](bool prune) {
+    return engine
+        .QueryTopKSubtrajectories(query, kDtw, k, engine::PruningFilter::kNone,
+                                  min_size, {.prune = prune})
+        .results;
+  };
+  std::vector<TopKEntry> pruned = run(true);
+  std::vector<TopKEntry> unpruned = run(false);
+  EXPECT_EQ(pruned.size(), unpruned.size());
+  for (size_t i = 0; i < std::min(pruned.size(), unpruned.size()); ++i) {
+    EXPECT_EQ(pruned[i].trajectory_id, unpruned[i].trajectory_id) << i;
+    EXPECT_EQ(pruned[i].range, unpruned[i].range) << i;
+    EXPECT_EQ(std::memcmp(&pruned[i].distance, &unpruned[i].distance,
+                          sizeof(double)),
+              0)
+        << i;
   }
-  auto sorted = collector.Sorted();
-  ASSERT_EQ(sorted.size(), 3u);
-  EXPECT_DOUBLE_EQ(sorted[0].distance, 1.0);
-  EXPECT_DOUBLE_EQ(sorted[1].distance, 2.0);
-  EXPECT_DOUBLE_EQ(sorted[2].distance, 3.0);
-  EXPECT_DOUBLE_EQ(collector.worst(), 3.0);
+  return pruned;
 }
 
-TEST(TopKCollectorTest, WorstIsInfiniteUntilFull) {
-  TopKCollector collector(2);
-  EXPECT_TRUE(std::isinf(collector.worst()));
-  collector.Offer(geo::SubRange(0, 0), 5.0);
-  EXPECT_TRUE(std::isinf(collector.worst()));
-  collector.Offer(geo::SubRange(1, 1), 7.0);
-  EXPECT_DOUBLE_EQ(collector.worst(), 7.0);
+std::vector<TopKEntry> TopK(const std::vector<Point>& data,
+                            const std::vector<Point>& query, int k,
+                            int min_size = 1) {
+  return TopK({geo::Trajectory(data, 0)}, query, k, min_size);
 }
 
-TEST(TopKCollectorTest, FewerCandidatesThanK) {
-  TopKCollector collector(10);
-  collector.Offer(geo::SubRange(0, 1), 2.0);
-  collector.Offer(geo::SubRange(1, 2), 1.0);
-  auto sorted = collector.Sorted();
-  ASSERT_EQ(sorted.size(), 2u);
-  EXPECT_DOUBLE_EQ(sorted[0].distance, 1.0);
-}
-
-TEST(TopKExactTest, Top1MatchesExactS) {
+TEST(TopKSubtrajectoriesTest, Top1MatchesExactS) {
   util::Rng rng(5);
   for (int trial = 0; trial < 10; ++trial) {
     std::vector<Point> data, query;
@@ -63,7 +69,7 @@ TEST(TopKExactTest, Top1MatchesExactS) {
     for (int i = 0; i < 4; ++i) {
       query.emplace_back(rng.Uniform(-10, 10), rng.Uniform(-10, 10));
     }
-    auto top = TopKExact(kDtw, data, query, 1);
+    auto top = TopK(data, query, 1);
     ASSERT_EQ(top.size(), 1u);
     ExactS exact(&kDtw);
     auto r = exact.Search(data, query);
@@ -72,10 +78,10 @@ TEST(TopKExactTest, Top1MatchesExactS) {
   }
 }
 
-TEST(TopKExactTest, ResultsAreDistinctAndSorted) {
+TEST(TopKSubtrajectoriesTest, ResultsAreDistinctAndSorted) {
   auto data = Line({3, 1, 4, 1, 5, 9, 2, 6});
   auto query = Line({1, 5});
-  auto top = TopKExact(kDtw, data, query, 10);
+  auto top = TopK(data, query, 10);
   ASSERT_EQ(top.size(), 10u);
   std::set<std::pair<int, int>> ranges;
   for (size_t i = 0; i < top.size(); ++i) {
@@ -86,25 +92,21 @@ TEST(TopKExactTest, ResultsAreDistinctAndSorted) {
   }
 }
 
-TEST(TopKExactTest, KLargerThanCandidateCount) {
-  auto data = Line({1, 2});
-  auto query = Line({1});
-  auto top = TopKExact(kDtw, data, query, 100);
+TEST(TopKSubtrajectoriesTest, KLargerThanCandidateCount) {
+  auto top = TopK(Line({1, 2}), Line({1}), 100);
   EXPECT_EQ(top.size(), 3u);  // (0,0), (1,1), (0,1)
 }
 
-TEST(TopKExactTest, MinSizeFiltersShortCandidates) {
-  auto data = Line({1, 2, 3, 4, 5});
-  auto query = Line({1, 2});
-  auto top = TopKExact(kDtw, data, query, 100, /*min_size=*/3);
-  for (const auto& cand : top) {
-    EXPECT_GE(cand.range.size(), 3);
+TEST(TopKSubtrajectoriesTest, MinSizeFiltersShortCandidates) {
+  auto top = TopK(Line({1, 2, 3, 4, 5}), Line({1, 2}), 100, /*min_size=*/3);
+  for (const auto& entry : top) {
+    EXPECT_GE(entry.range.size(), 3);
   }
   // Candidates of sizes 3..5: 3 + 2 + 1 = 6.
   EXPECT_EQ(top.size(), 6u);
 }
 
-TEST(TopKExactTest, DistancesMatchReScoring) {
+TEST(TopKSubtrajectoriesTest, DistancesMatchReScoring) {
   util::Rng rng(9);
   std::vector<Point> data, query;
   for (int i = 0; i < 10; ++i) {
@@ -113,11 +115,27 @@ TEST(TopKExactTest, DistancesMatchReScoring) {
   for (int i = 0; i < 3; ++i) {
     query.emplace_back(rng.Uniform(-5, 5), rng.Uniform(-5, 5));
   }
-  for (const auto& cand : TopKExact(kDtw, data, query, 5)) {
-    std::span<const Point> sub(&data[static_cast<size_t>(cand.range.start)],
-                               static_cast<size_t>(cand.range.size()));
-    EXPECT_NEAR(cand.distance, similarity::DtwDistance(sub, query), 1e-9);
+  for (const auto& entry : TopK(data, query, 5)) {
+    std::span<const Point> sub(&data[static_cast<size_t>(entry.range.start)],
+                               static_cast<size_t>(entry.range.size()));
+    EXPECT_NEAR(entry.distance, similarity::DtwDistance(sub, query), 1e-9);
   }
+}
+
+// Ties at the k-th distance still enter through the (id, range) tie-break,
+// so the threshold must reject only strictly larger distances: the
+// trajectory scanned second (smaller id) must displace the first one's
+// equally distant entries.
+TEST(TopKSubtrajectoriesTest, TiesAtTheKthDistanceStillEnter) {
+  auto flat = Line({1, 1, 1});
+  auto top = TopK({geo::Trajectory(flat, 7), geo::Trajectory(flat, 2)},
+                  Line({1}), 2);
+  ASSERT_EQ(top.size(), 2u);
+  EXPECT_EQ(top[0].trajectory_id, 2);
+  EXPECT_EQ(top[0].range, geo::SubRange(0, 0));
+  EXPECT_EQ(top[1].trajectory_id, 2);
+  EXPECT_EQ(top[1].range, geo::SubRange(0, 1));
+  EXPECT_EQ(top[1].distance, 0.0);
 }
 
 }  // namespace

@@ -3,11 +3,15 @@
 // are compared bit-for-bit against the unpruned sequential scan, across
 // measures from each aggregation family (sum: DTW; max: Frechet, Hausdorff;
 // other/no-MBR-bound: EDR) and across the bailout-aware algorithms
-// (ExactS, SizeS, PSS).
+// (ExactS, SizeS, PSS). The subtrajectory-level top-k is held to the same
+// contract across every built-in measure, filter and corpus format.
 #include "engine/engine.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <vector>
 
@@ -15,10 +19,12 @@
 #include "algo/sizes.h"
 #include "algo/splitting.h"
 #include "data/generator.h"
+#include "data/snapshot.h"
 #include "similarity/edr.h"
 #include "similarity/dtw.h"
 #include "similarity/frechet.h"
 #include "similarity/hausdorff.h"
+#include "similarity/registry.h"
 #include "util/random.h"
 
 namespace simsub::engine {
@@ -205,6 +211,108 @@ TEST(EnginePruneTest, CascadeActuallySkipsAndAbandons) {
   EXPECT_EQ(unpruned.lb_skipped, 0);
   EXPECT_EQ(unpruned.dp_abandoned, 0);
   ExpectSameResults(unpruned, report, "counters-query");
+}
+
+// Subtrajectory-level top-k, pruned vs unpruned, bit for bit: ids, ranges
+// and distance bit patterns. Pruned runs share one evaluator cache across
+// measures (the serving layer's reuse pattern) and run on both corpus
+// formats: the in-memory engine (lazily built SoA columns) and one over a
+// mapped snapshot (zero-copy columns).
+TEST(EnginePruneTest, TopKSubtrajectoriesPrunedBitIdenticalToUnpruned) {
+  data::Dataset dataset =
+      data::GenerateDataset(data::DatasetKind::kPorto, 24, 955);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "simsub_prune_topk_sub.snap")
+          .string();
+  ASSERT_TRUE(data::WriteSnapshot(dataset, path).ok());
+  auto snapshot = data::CorpusSnapshot::Open(path);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  // Cut queries find their source trajectory's near-duplicates first; a
+  // held-out query spreads the top-k over several trajectories, so the
+  // trajectory skip is exercised near the k-th distance too.
+  std::vector<std::vector<geo::Point>> queries =
+      MakeQueries(dataset.trajectories);
+  for (uint64_t seed : {956u, 957u}) {
+    data::Dataset other =
+        data::GenerateDataset(data::DatasetKind::kPorto, 1, seed);
+    const auto& held_out = other.trajectories.front().points();
+    queries.emplace_back(held_out.begin(),
+                         held_out.begin() +
+                             std::min<size_t>(8, held_out.size()));
+  }
+  SimSubEngine mem_engine(std::move(dataset.trajectories));
+  SimSubEngine snap_engine(**snapshot);
+  for (SimSubEngine* engine : {&mem_engine, &snap_engine}) {
+    engine->BuildIndex();
+    engine->BuildInvertedIndex();
+  }
+  similarity::EvaluatorCache scratch;
+  int64_t lb_skipped = 0;
+  int64_t dp_abandoned = 0;
+
+  for (const std::string& name : similarity::BuiltinMeasureNames()) {
+    auto measure = similarity::MakeMeasure(name);
+    ASSERT_TRUE(measure.ok()) << measure.status();
+    for (const auto& query : queries) {
+      for (PruningFilter filter : {PruningFilter::kNone, PruningFilter::kRTree,
+                                   PruningFilter::kInvertedGrid}) {
+        for (int k : {1, 3, 10}) {
+          for (int min_size : {1, 2, 5}) {
+            const std::string label =
+                name + " filter=" + PruningFilterName(filter) +
+                " k=" + std::to_string(k) +
+                " min_size=" + std::to_string(min_size);
+            QueryReport want = mem_engine.QueryTopKSubtrajectories(
+                query, **measure, k, filter, min_size, {.prune = false});
+            EXPECT_EQ(want.lb_skipped, 0) << label;
+            EXPECT_EQ(want.dp_abandoned, 0) << label;
+            for (const SimSubEngine* engine : {&mem_engine, &snap_engine}) {
+              QueryReport got = engine->QueryTopKSubtrajectories(
+                  query, **measure, k, filter, min_size,
+                  {.prune = true, .scratch = &scratch});
+              lb_skipped += got.lb_skipped;
+              dp_abandoned += got.dp_abandoned;
+              const std::string where =
+                  label + (engine->from_snapshot() ? " snapshot" : " csv");
+              ASSERT_EQ(want.results.size(), got.results.size()) << where;
+              for (size_t i = 0; i < want.results.size(); ++i) {
+                const TopKEntry& a = want.results[i];
+                const TopKEntry& b = got.results[i];
+                EXPECT_EQ(a.trajectory_id, b.trajectory_id)
+                    << where << " #" << i;
+                EXPECT_EQ(a.range, b.range) << where << " #" << i;
+                EXPECT_EQ(std::bit_cast<uint64_t>(a.distance),
+                          std::bit_cast<uint64_t>(b.distance))
+                    << where << " #" << i;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  // The comparison has teeth only if the pruned runs actually pruned.
+  EXPECT_GT(lb_skipped, 0);
+  EXPECT_GT(dp_abandoned, 0);
+  std::filesystem::remove(path);
+}
+
+TEST(EnginePruneTest, TopKSubtrajectoriesCascadeSkipsAndAbandons) {
+  std::vector<geo::Trajectory> db = MakeDatabase(48, 733);
+  SimSubEngine engine(db);
+  const auto& t = db[0].points();
+  std::vector<geo::Point> query(t.begin(), t.begin() + 8);
+  similarity::DtwMeasure dtw;
+  similarity::FrechetMeasure frechet;
+  for (const similarity::SimilarityMeasure* m :
+       {static_cast<const similarity::SimilarityMeasure*>(&dtw),
+        static_cast<const similarity::SimilarityMeasure*>(&frechet)}) {
+    QueryReport report = engine.QueryTopKSubtrajectories(
+        query, *m, /*k=*/10, PruningFilter::kNone, /*min_size=*/2);
+    EXPECT_GT(report.lb_skipped, 0) << m->name() << ": trajectory skip inert";
+    EXPECT_GT(report.dp_abandoned, 0) << m->name() << ": early abandon inert";
+    EXPECT_LE(report.lb_skipped, report.trajectories_scanned);
+  }
 }
 
 TEST(EnginePruneTest, ReportDefaultsAndPruneFlagPlumbed) {

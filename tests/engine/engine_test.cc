@@ -223,14 +223,15 @@ TEST(EngineTest, SubtrajectoryTopKTop1MatchesExactSearch) {
 
 TEST(EngineTest, SubtrajectoryTopKHonorsCancelFlag) {
   // The subtrajectory-level scan checks the cooperative flag between
-  // per-trajectory enumerations, same contract as QueryOptions::cancel on
+  // trajectories and start points, same contract as QueryOptions::cancel on
   // the regular scan — the serving layer's "topk-sub" path relies on it.
   data::Dataset d = SmallDataset();
   SimSubEngine engine(d.trajectories);
   const auto& query = d.trajectories[4];
   std::atomic<bool> cancel{true};
   auto cancelled = engine.QueryTopKSubtrajectories(
-      query.View(), kDtw, 5, PruningFilter::kNone, /*min_size=*/1, &cancel);
+      query.View(), kDtw, 5, PruningFilter::kNone, /*min_size=*/1,
+      {.cancel = &cancel});
   EXPECT_EQ(cancelled.status.code(), util::StatusCode::kCancelled);
   EXPECT_EQ(cancelled.trajectories_scanned, 0);
   EXPECT_TRUE(cancelled.results.empty());
@@ -238,7 +239,8 @@ TEST(EngineTest, SubtrajectoryTopKHonorsCancelFlag) {
   // An untripped flag changes nothing.
   cancel.store(false);
   auto with_flag = engine.QueryTopKSubtrajectories(
-      query.View(), kDtw, 5, PruningFilter::kNone, /*min_size=*/1, &cancel);
+      query.View(), kDtw, 5, PruningFilter::kNone, /*min_size=*/1,
+      {.cancel = &cancel});
   auto without = engine.QueryTopKSubtrajectories(query.View(), kDtw, 5);
   EXPECT_TRUE(with_flag.status.ok());
   ASSERT_EQ(with_flag.results.size(), without.results.size());

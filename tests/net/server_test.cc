@@ -1,8 +1,10 @@
 // Server admission control and lifecycle (net/server.h): the in-flight
 // window sheds with ResourceExhausted while a slow query is executing,
 // per-client quotas bucket by client_id, the connection cap answers an
-// ERROR and closes, malformed frames are counted and refused, and drain
-// finishes in-flight work then stops accepting.
+// ERROR and closes, malformed frames are counted and refused, drain
+// finishes in-flight work then stops accepting, a throwing execution is
+// answered with a typed Internal report without leaking its in-flight slot,
+// and an over-cap k is refused over the wire.
 #include "net/server.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +16,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -22,6 +26,7 @@
 #include "net/wire.h"
 #include "service/query_service.h"
 #include "service/query_spec.h"
+#include "util/failpoint.h"
 #include "util/thread_pool.h"
 
 namespace simsub::net {
@@ -245,6 +250,75 @@ TEST(ServerTest, DrainFinishesInflightWorkAndStopsAccepting) {
     spec.points = query.View();
     EXPECT_FALSE(late->Query(spec).ok());
   }
+}
+
+// A throwing execution must neither leak its in-flight slot nor kill the
+// connection: with a window of 2, two throwing requests used to wedge the
+// server for good (every later query shed as "2 queries in flight").
+TEST(ServerTest, ThrowingExecutionsReleaseTheirInflightSlots) {
+  if (!util::FailpointsCompiledIn()) GTEST_SKIP() << "failpoints compiled out";
+  service::QueryService service = MakeSlowService(/*threads=*/1, 40);
+  geo::Trajectory query = SampleQuery();
+  ServerOptions options;
+  options.max_inflight = 2;
+  Server server(service, options);
+  ASSERT_TRUE(server.Start().ok());
+  // No retries and a short read timeout: a handler killed by the exception
+  // shows up as a failed Query() instead of a long hang.
+  ClientOptions client_options;
+  client_options.read_timeout_ms = 5'000;
+  client_options.max_retries = 0;
+  auto client = Client::Connect("127.0.0.1", server.port(), client_options);
+  ASSERT_TRUE(client.ok());
+
+  ASSERT_TRUE(util::SetFailpoint("service.scratch", "throw@times:2").ok());
+  for (int i = 0; i < 2; ++i) {
+    auto report = client->Query(SlowSpec(query));
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->status.code(), util::StatusCode::kInternal);
+    EXPECT_NE(report->status.message().find("service.scratch"),
+              std::string::npos)
+        << report->status.ToString();
+  }
+  util::ClearFailpoints();
+
+  auto served = client->Query(SlowSpec(query));
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_TRUE(served->status.ok()) << served->status.ToString();
+  EXPECT_FALSE(served->results.empty());
+  ServerStats stats = server.stats();
+  EXPECT_EQ(stats.shed_inflight, 0);
+  EXPECT_EQ(stats.queries_answered, 3);
+  server.Stop();
+}
+
+// The k cap holds for requests arriving over the wire: a topk-sub frame
+// asking for INT32_MAX results is refused with a typed report, and the
+// connection goes on serving.
+TEST(ServerTest, HugeKOverTheWireIsRefusedWithInvalidArgument) {
+  service::QueryService service = MakeSlowService(/*threads=*/1, 40);
+  geo::Trajectory query = SampleQuery();
+  Server server(service, {});
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::Connect("127.0.0.1", server.port(), {});
+  ASSERT_TRUE(client.ok());
+
+  service::QuerySpec spec;
+  spec.points = query.View();
+  spec.algorithm = "topk-sub";
+  spec.k = std::numeric_limits<int32_t>::max();
+  auto refused = client->Query(spec);
+  ASSERT_TRUE(refused.ok()) << refused.status().ToString();
+  EXPECT_EQ(refused->status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_TRUE(refused->results.empty());
+
+  spec.k = 3;
+  spec.min_size = 2;
+  auto served = client->Query(spec);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_TRUE(served->status.ok()) << served->status.ToString();
+  EXPECT_EQ(served->results.size(), 3u);
+  server.Stop();
 }
 
 TEST(ServerTest, StatzTextCarriesServerAndServiceCounters) {

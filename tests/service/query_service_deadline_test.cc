@@ -1,8 +1,9 @@
 // End-to-end deadline enforcement (QuerySpec::deadline_ms): a deadline
-// expiring MID-EXECUTION stops the scan at per-trajectory granularity and
-// returns DeadlineExceeded with partial results; one expiring in the queue
-// answers without running; and the no-deadline default never pays for a
-// clock read it didn't ask for (same results as before the feature).
+// expiring MID-EXECUTION stops the scan at per-trajectory granularity (per
+// start point for topk-sub) and returns DeadlineExceeded with partial
+// results; one expiring in the queue answers without running; and the
+// no-deadline default never pays for a clock read it didn't ask for (same
+// results as before the feature).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -13,6 +14,7 @@
 #include "engine/engine.h"
 #include "service/query_service.h"
 #include "service/query_spec.h"
+#include "util/random.h"
 
 namespace simsub::service {
 namespace {
@@ -67,7 +69,8 @@ TEST(QueryServiceDeadlineTest, TopkSubHonorsDeadlineMidEnumeration) {
   QuerySpec spec;
   spec.points = query.View();
   spec.measure = "dtw";
-  spec.algorithm = "topk-sub";  // exhaustive subtrajectory enumeration
+  spec.algorithm = "topk-sub";
+  spec.prune = false;  // exhaustive subtrajectory enumeration
   spec.k = 5;
   spec.min_size = 2;
   spec.deadline_ms = 1.0;
@@ -75,6 +78,41 @@ TEST(QueryServiceDeadlineTest, TopkSubHonorsDeadlineMidEnumeration) {
   EXPECT_EQ(report.status.code(), util::StatusCode::kDeadlineExceeded);
   EXPECT_LT(report.trajectories_scanned,
             static_cast<int64_t>(service.engine().database().size()));
+}
+
+TEST(QueryServiceDeadlineTest, TopkSubDeadlineStopsInsideOneTrajectory) {
+  // One 2400-point trajectory and a 300-point query: the unpruned
+  // enumeration is ~2.9M subtrajectories x 300 query points (~860M DP
+  // cells, seconds on any machine), and all of it sits inside a single
+  // trajectory, so only the per-start-point check can stop it in time.
+  util::Rng rng(6003);
+  std::vector<geo::Point> walk;
+  geo::Point p(0.0, 0.0);
+  for (int i = 0; i < 2400; ++i) {
+    p = geo::Point(p.x + rng.Uniform(-50.0, 50.0),
+                   p.y + rng.Uniform(-50.0, 50.0));
+    walk.push_back(p);
+  }
+  std::vector<geo::Point> query(walk.begin() + 1000, walk.begin() + 1300);
+  std::vector<geo::Trajectory> db;
+  db.emplace_back(std::move(walk), 0);
+  ServiceOptions options;
+  options.threads = 1;
+  QueryService service(engine::SimSubEngine(std::move(db)), options);
+
+  QuerySpec spec;
+  spec.points = query;
+  spec.measure = "dtw";
+  spec.algorithm = "topk-sub";
+  spec.prune = false;
+  spec.k = 5;
+  spec.deadline_ms = 1.0;
+  engine::QueryReport report = service.RunOne(spec);
+  EXPECT_EQ(report.status.code(), util::StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(report.trajectories_scanned, 1);
+  // A start point costs at most 2400 x 300 cells, well under a millisecond
+  // (a few under sanitizers); the whole scan costs seconds.
+  EXPECT_LT(report.seconds, 0.25);
 }
 
 TEST(QueryServiceDeadlineTest, QueueExpiryAnswersWithoutRunning) {

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -249,6 +250,69 @@ TEST(QuerySpecTest, BadSpecsAreRejectedReportsNotCrashes) {
 
   EXPECT_EQ(service.stats().rejected, 6);
   EXPECT_EQ(service.stats().queries_served, 0);
+}
+
+TEST(QuerySpecTest, KAboveTheCapIsRejected) {
+  QueryService service = MakeService(1);
+  QuerySpec spec;
+  spec.points = service.engine().database()[0].View();
+  spec.algorithm = "topk-sub";
+  spec.k = std::numeric_limits<int32_t>::max();
+  engine::QueryReport report = service.RunOne(spec);
+  EXPECT_EQ(report.status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_TRUE(report.results.empty());
+  spec.k = QueryService::kMaxK + 1;
+  EXPECT_EQ(service.Submit(spec).get().status.code(),
+            util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.stats().rejected, 2);
+
+  // The cap itself is served.
+  spec.k = QueryService::kMaxK;
+  spec.min_size = 2;
+  report = service.RunOne(spec);
+  EXPECT_TRUE(report.status.ok()) << report.status.ToString();
+  EXPECT_FALSE(report.results.empty());
+}
+
+// topk-sub honours spec.prune AND-ed with ServiceOptions::prune: the
+// cascade counters move only when both are on, the results never do, and
+// the enumeration runs on the worker's reused evaluator.
+TEST(QuerySpecTest, TopkSubHonoursBothPruneFlags) {
+  ServiceOptions no_prune;
+  no_prune.prune = false;
+  QueryService service = MakeService(1);
+  QueryService service_off = MakeService(1, no_prune);
+  const auto& db = service.engine().database();
+  std::vector<geo::Point> query(db[2].points().begin(),
+                                db[2].points().begin() + 8);
+  QuerySpec spec;
+  spec.points = query;
+  spec.measure = "frechet";
+  spec.algorithm = "topk-sub";
+  spec.k = 10;
+  spec.min_size = 2;
+  spec.filter = engine::PruningFilter::kNone;
+
+  engine::QueryReport pruned = service.RunOne(spec);
+  EXPECT_GT(pruned.lb_skipped, 0);
+  EXPECT_GT(pruned.dp_abandoned, 0);
+  engine::QueryReport service_off_report = service_off.RunOne(spec);
+  spec.prune = false;
+  engine::QueryReport spec_off_report = service.RunOne(spec);
+  for (const engine::QueryReport* off :
+       {&service_off_report, &spec_off_report}) {
+    EXPECT_EQ(off->lb_skipped, 0);
+    EXPECT_EQ(off->dp_abandoned, 0);
+    ASSERT_EQ(off->results.size(), pruned.results.size());
+    for (size_t i = 0; i < pruned.results.size(); ++i) {
+      EXPECT_EQ(off->results[i].trajectory_id,
+                pruned.results[i].trajectory_id);
+      EXPECT_EQ(off->results[i].range, pruned.results[i].range);
+      EXPECT_EQ(off->results[i].distance, pruned.results[i].distance);
+    }
+  }
+  ServiceStats stats = service.stats();
+  EXPECT_GE(stats.evaluator_reuses, 1);
 }
 
 TEST(QuerySpecTest, ExplicitFilterWithoutIndexIsRejected) {

@@ -1,12 +1,14 @@
 // Failpoint subsystem contract (util/failpoint.h): policy grammar, trigger
 // semantics (once / nth / times / prob), counters and tracing, the env-var
-// configuration path, and the abort action (as a death test).
+// configuration path, the throw action, and the abort action (as a death
+// test).
 #include "util/failpoint.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 #include "util/status.h"
@@ -100,6 +102,19 @@ TEST_F(FailpointTest, DelayPolicySleepsAndReturnsOk) {
                      std::chrono::steady_clock::now() - t0)
                      .count();
   EXPECT_GE(elapsed, 25);  // scheduler slop downward is the only tolerance
+}
+
+TEST_F(FailpointTest, ThrowPolicyThrowsAtTheSite) {
+  ASSERT_TRUE(SetFailpoint("test.throw", "throw@once").ok());
+  try {
+    (void)FailpointFire("test.throw");
+    ADD_FAILURE() << "throw policy did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("test.throw"), std::string::npos);
+  }
+  // The registry lock was released before throwing: the site still works.
+  EXPECT_TRUE(FailpointFire("test.throw").ok());
+  EXPECT_EQ(GetFailpointCounters("test.throw").fires, 1);
 }
 
 TEST_F(FailpointTest, OffRemovesTheSite) {
