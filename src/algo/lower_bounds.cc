@@ -1,6 +1,7 @@
 #include "algo/lower_bounds.h"
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 
 #include "util/logging.h"
@@ -82,17 +83,40 @@ double MbrLowerBound(similarity::DistanceAggregation aggregation,
                           query.size() == 1);
 }
 
-double NearestEndpointLowerBound(similarity::DistanceAggregation aggregation,
-                                 geo::PointsView data,
-                                 std::span<const geo::Point> query) {
+double NearestPointsLowerBound(similarity::DistanceAggregation aggregation,
+                               geo::PointsView data,
+                               std::span<const geo::Point> query,
+                               double threshold) {
   SIMSUB_CHECK(!query.empty());
   SIMSUB_CHECK(!data.empty());
-  if (aggregation == similarity::DistanceAggregation::kOther) return 0.0;
-  double d_front = std::sqrt(geo::MinSquaredDistance(query.front(), data));
-  double d_back = query.size() == 1
-                      ? d_front
-                      : std::sqrt(geo::MinSquaredDistance(query.back(), data));
-  return CombineEndpoints(aggregation, d_front, d_back, query.size() == 1);
+  const size_t m = query.size();
+  // Step s visits query index 0, m-1, 1, 2, ..., m-2: after two steps the
+  // value is the endpoint bound.
+  auto nearest = [&](size_t step) {
+    const size_t i = step == 0 ? 0 : step == 1 ? m - 1 : step - 1;
+    return std::sqrt(geo::MinSquaredDistance(query[i], data));
+  };
+  double bound = 0.0;
+  switch (aggregation) {
+    case similarity::DistanceAggregation::kSum: {
+      const double scale =
+          1.0 - static_cast<double>(data.size + m) * DBL_EPSILON;
+      double sum = 0.0;
+      for (size_t step = 0; step < m && bound <= threshold; ++step) {
+        sum += nearest(step);
+        bound = sum * scale;
+      }
+      break;
+    }
+    case similarity::DistanceAggregation::kMax:
+      for (size_t step = 0; step < m && bound <= threshold; ++step) {
+        bound = std::max(bound, nearest(step));
+      }
+      break;
+    case similarity::DistanceAggregation::kOther:
+      break;
+  }
+  return bound;
 }
 
 }  // namespace simsub::algo

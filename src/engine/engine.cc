@@ -148,187 +148,49 @@ std::vector<int64_t> SimSubEngine::CandidateOrdinals(
   return all;
 }
 
-QueryReport SimSubEngine::Query(std::span<const geo::Point> query,
-                                const algo::SubtrajectorySearch& search,
-                                const QueryOptions& options) const {
-  SIMSUB_CHECK(!query.empty());
-  SIMSUB_CHECK_GT(options.k, 0);
-  SIMSUB_CHECK_GE(options.threads, 1);
-  util::Stopwatch timer;
-  QueryReport report;
-  report.filter_used = options.filter;
-
-  std::vector<int64_t> candidates =
-      CandidateOrdinals(query, options.filter, options.index_margin);
-  report.trajectories_pruned = static_cast<int64_t>(database_.size()) -
-                               static_cast<int64_t>(candidates.size());
-
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  // Deadline bookkeeping: `expired` is set by whichever partition first
-  // observes the clock past options.deadline; every partition then stops at
-  // its next per-trajectory check. The clock is only read when a deadline
-  // was actually set — a steady_clock::now() per candidate is cheap next to
-  // a DP, but not free on deadline-less bulk scans.
-  const bool has_deadline =
-      options.deadline != std::chrono::steady_clock::time_point::max();
-  std::atomic<bool> expired{false};
-  // Best-kth-distance bound shared across scan partitions: monotonically
-  // tightened (CAS-min) by any worker whose local heap fills. Any candidate
-  // whose distance provably exceeds it is strictly worse than k already-
-  // found entries and can never enter the merged top-k — not even through
-  // the (distance, id, range) tie-break, which requires distance equality.
-  std::atomic<double> shared_bound{kInf};
-  const similarity::SimilarityMeasure* measure =
-      options.prune ? search.measure() : nullptr;
+similarity::DistanceAggregation SimSubEngine::CascadeAggregation(
+    const similarity::SimilarityMeasure* measure) const {
   const similarity::DistanceAggregation agg =
       measure != nullptr ? measure->aggregation()
                          : similarity::DistanceAggregation::kOther;
-  if (agg != similarity::DistanceAggregation::kOther) {
-    // Warm the lazy SoA cache on the coordinating thread, not under the
-    // workers' first nearest-endpoint call.
-    EnsureSoa();
+  // Warm the lazy SoA cache on the coordinating thread, not under the
+  // workers' first bound call.
+  if (agg != similarity::DistanceAggregation::kOther) EnsureSoa();
+  return agg;
+}
+
+bool SimSubEngine::CascadeSkips(similarity::DistanceAggregation agg,
+                                int64_t ordinal,
+                                std::span<const geo::Point> query,
+                                double threshold) const {
+  // O(1) MBR endpoint bound, then the early-abandoned all-points bound over
+  // the cached SoA copy. Both bound dist(sub, query) for EVERY
+  // subtrajectory, so a strict excess over the threshold discards the
+  // whole trajectory.
+  if (threshold == std::numeric_limits<double>::infinity() ||
+      agg == similarity::DistanceAggregation::kOther) {
+    return false;
   }
+  return algo::MbrLowerBound(agg, TrajectoryMbr(ordinal), query) >
+             threshold ||
+         algo::NearestPointsLowerBound(agg, TrajectorySoa(ordinal), query,
+                                       threshold) > threshold;
+}
 
-  auto scan_range = [&](size_t lo, size_t hi, TopKHeap& heap,
-                        int64_t& scanned, int64_t& lb_skipped,
-                        int64_t& dp_abandoned,
-                        similarity::EvaluatorCache* scratch) {
-    for (size_t c = lo; c < hi; ++c) {
-      // Cooperative cancellation between per-trajectory searches: a relaxed
-      // load per candidate is noise next to even one DP row.
-      if (options.cancel != nullptr &&
-          options.cancel->load(std::memory_order_relaxed)) {
-        return;
-      }
-      // Execution-time deadline enforcement, same cadence as cancellation:
-      // an expired query stops mid-scan instead of running to completion,
-      // which is what lets the serving layer's load shedding actually bound
-      // work under overload.
-      if (has_deadline &&
-          (expired.load(std::memory_order_relaxed) ||
-           std::chrono::steady_clock::now() >= options.deadline)) {
-        expired.store(true, std::memory_order_relaxed);
-        return;
-      }
-      const int64_t ordinal = candidates[c];
-      const geo::Trajectory& traj = database_[static_cast<size_t>(ordinal)];
-      if (traj.empty()) continue;
-      ++scanned;
-
-      double threshold = kInf;
-      if (options.prune) {
-        if (static_cast<int>(heap.size()) == options.k) {
-          threshold = heap.top().distance;
-        }
-        threshold =
-            std::min(threshold, shared_bound.load(std::memory_order_relaxed));
-      }
-
-      // Lower-bound cascade: O(1) MBR endpoint bound, then the O(n)
-      // vectorized nearest-endpoint bound over the cached SoA copy. Both
-      // bound dist(sub, query) for EVERY subtrajectory, so a strict excess
-      // over the best-kth threshold discards the whole trajectory.
-      if (threshold < kInf &&
-          agg != similarity::DistanceAggregation::kOther) {
-        if (algo::MbrLowerBound(agg, TrajectoryMbr(ordinal), query) >
-                threshold ||
-            algo::NearestEndpointLowerBound(agg, TrajectorySoa(ordinal),
-                                            query) > threshold) {
-          ++lb_skipped;
-          continue;
-        }
-      }
-
-      algo::SearchResult r =
-          options.prune ? search.Search(traj.View(), query, scratch, threshold)
-                        : search.Search(traj.View(), query, scratch);
-      dp_abandoned += r.stats.abandoned;
-      OfferEntry(heap, options.k, TopKEntry{traj.id(), r.best, r.distance});
-
-      if (options.prune && static_cast<int>(heap.size()) == options.k) {
-        double kth = heap.top().distance;
-        double cur = shared_bound.load(std::memory_order_relaxed);
-        while (kth < cur && !shared_bound.compare_exchange_weak(
-                                cur, kth, std::memory_order_relaxed)) {
-        }
-      }
-    }
-  };
-
-  util::ThreadPool* pool =
-      options.pool != nullptr ? options.pool : &util::ThreadPool::Shared();
-  // Run inline when parallelism cannot pay off — and always when already on
-  // a worker of the target pool, where blocking on our own futures could
-  // deadlock (every worker waiting on tasks stuck behind it in the queue).
-  bool sequential = options.threads <= 1 ||
-                    candidates.size() <
-                        2 * static_cast<size_t>(options.threads) ||
-                    pool->OnWorkerThread();
-
-  TopKHeap heap;
-  if (sequential) {
-    similarity::EvaluatorCache local_scratch;
-    similarity::EvaluatorCache* scratch =
-        options.scratch != nullptr ? options.scratch : &local_scratch;
-    scan_range(0, candidates.size(), heap, report.trajectories_scanned,
-               report.lb_skipped, report.dp_abandoned, scratch);
-  } else {
-    // Partition candidates into one task per requested thread; each task
-    // keeps a local top-k heap and evaluator scratch, merged after the
-    // futures resolve. The per-trajectory search objects must be
-    // thread-compatible — all algorithms except Random-S are (they share no
-    // mutable state). The deterministic EntryBetter order makes the merged
-    // top-k independent of the partitioning.
-    size_t workers = static_cast<size_t>(options.threads);
-    std::vector<TopKHeap> heaps(workers);
-    std::vector<int64_t> scanned(workers, 0);
-    std::vector<int64_t> lb_skipped(workers, 0);
-    std::vector<int64_t> dp_abandoned(workers, 0);
-    std::vector<std::future<void>> futures;
-    size_t chunk = (candidates.size() + workers - 1) / workers;
-    for (size_t w = 0; w < workers; ++w) {
-      size_t lo = w * chunk;
-      size_t hi = std::min(candidates.size(), lo + chunk);
-      if (lo >= hi) break;
-      futures.push_back(pool->Submit([&, lo, hi, w] {
-        similarity::EvaluatorCache chunk_scratch;
-        scan_range(lo, hi, heaps[w], scanned[w], lb_skipped[w],
-                   dp_abandoned[w], &chunk_scratch);
-      }));
-    }
-    // Drain every future before propagating any failure: rethrowing while
-    // sibling tasks still run would unwind the stack frame their captured
-    // references (heaps, scanned, candidates) point into.
-    std::exception_ptr first_error;
-    for (auto& f : futures) {
-      try {
-        f.get();
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-    if (first_error) std::rethrow_exception(first_error);
-    for (size_t w = 0; w < workers; ++w) {
-      report.trajectories_scanned += scanned[w];
-      report.lb_skipped += lb_skipped[w];
-      report.dp_abandoned += dp_abandoned[w];
-      while (!heaps[w].empty()) {
-        OfferEntry(heap, options.k, heaps[w].top());
-        heaps[w].pop();
-      }
-    }
-  }
-
-  report.results = ExtractAscending(heap);
-  if (options.cancel != nullptr &&
-      options.cancel->load(std::memory_order_relaxed)) {
-    report.status = util::Status::Cancelled("query cancelled mid-scan");
-  } else if (expired.load(std::memory_order_relaxed)) {
-    report.status = util::Status::DeadlineExceeded(
-        "deadline expired mid-scan (partial results)");
-  }
-  report.seconds = timer.ElapsedSeconds();
-  return report;
+QueryReport SimSubEngine::Query(std::span<const geo::Point> query,
+                                const algo::SubtrajectorySearch& search,
+                                const QueryOptions& options) const {
+  // A one-query batch: the batched scan IS the single-query scan (same
+  // candidate order, partitioning, cascade and deadline/cancel cadence).
+  const BatchedQueryView view{query, options.k, options.filter,
+                              options.cancel, options.deadline};
+  BatchQueryOptions batch;
+  batch.index_margin = options.index_margin;
+  batch.threads = options.threads;
+  batch.pool = options.pool;
+  batch.scratch = options.scratch;
+  batch.prune = options.prune;
+  return std::move(QueryBatch(std::span(&view, 1), search, batch).front());
 }
 
 std::vector<QueryReport> SimSubEngine::QueryBatch(
@@ -343,9 +205,9 @@ std::vector<QueryReport> SimSubEngine::QueryBatch(
   constexpr double kInf = std::numeric_limits<double>::infinity();
 
   // Per-query candidate lists. CandidateOrdinals returns ascending ordinals
-  // for every filter, which is also the order the one-at-a-time scan visits
-  // them in — the batched scan below walks each query's candidates in
-  // exactly that order, so per-query results match Query() bit for bit.
+  // for every filter; the scan below walks each query's candidates in
+  // exactly that order whatever the batch, so per-query results do not
+  // depend on their batchmates.
   std::vector<std::vector<int64_t>> cands(nq);
   for (size_t q = 0; q < nq; ++q) {
     SIMSUB_CHECK(!queries[q].points.empty());
@@ -361,13 +223,23 @@ std::vector<QueryReport> SimSubEngine::QueryBatch(
   // Sorted union of the candidate sets: the outer scan axis. Each
   // trajectory is loaded once and searched against every query that wants
   // it while its columns are hot.
-  std::vector<int64_t> uni;
-  for (const auto& c : cands) uni.insert(uni.end(), c.begin(), c.end());
-  std::sort(uni.begin(), uni.end());
-  uni.erase(std::unique(uni.begin(), uni.end()), uni.end());
+  std::vector<int64_t> uni = cands[0];
+  for (size_t q = 1; q < nq; ++q) {
+    uni.insert(uni.end(), cands[q].begin(), cands[q].end());
+  }
+  if (nq > 1) {  // one query's list is already sorted and unique
+    std::sort(uni.begin(), uni.end());
+    uni.erase(std::unique(uni.begin(), uni.end()), uni.end());
+  }
 
-  // Per-query shared state, mirroring Query()'s: a CAS-min best-kth bound
-  // and a sticky deadline-expiry flag, each shared across scan partitions.
+  // Per-query state shared across scan partitions. bounds[q] is the
+  // best-kth distance, monotonically tightened (CAS-min) by any worker
+  // whose local heap for q fills: a candidate whose distance provably
+  // exceeds it is strictly worse than k already-found entries and can never
+  // enter the merged top-k — not even through the (distance, id, range)
+  // tie-break, which requires distance equality. expired[q] is set by
+  // whichever partition first observes the clock past q's deadline; every
+  // partition then skips q's remaining candidates.
   auto bounds = std::make_unique<std::atomic<double>[]>(nq);
   auto expired = std::make_unique<std::atomic<bool>[]>(nq);
   for (size_t q = 0; q < nq; ++q) {
@@ -375,14 +247,8 @@ std::vector<QueryReport> SimSubEngine::QueryBatch(
     expired[q].store(false, std::memory_order_relaxed);
   }
 
-  const similarity::SimilarityMeasure* measure =
-      options.prune ? search.measure() : nullptr;
   const similarity::DistanceAggregation agg =
-      measure != nullptr ? measure->aggregation()
-                         : similarity::DistanceAggregation::kOther;
-  if (agg != similarity::DistanceAggregation::kOther) {
-    EnsureSoa();  // warm on the coordinating thread, as in Query()
-  }
+      CascadeAggregation(options.prune ? search.measure() : nullptr);
 
   // One partition's scan over union indices [lo, hi). heaps/scanned/
   // lb_skipped/dp_abandoned are this partition's per-query slices.
@@ -409,7 +275,9 @@ std::vector<QueryReport> SimSubEngine::QueryBatch(
         if (cu == cands[q].size() || cands[q][cu] != ordinal) continue;
         ++cu;
         const BatchedQueryView& query = queries[q];
-        // Per-query cancellation / deadline, same cadence as Query(): only
+        // Per-query cancellation / deadline between per-trajectory
+        // searches: a relaxed load per candidate is noise next to even one
+        // DP row, and the clock is read only when a deadline was set. Only
         // this query stops; its batchmates keep scanning.
         if (query.cancel != nullptr &&
             query.cancel->load(std::memory_order_relaxed)) {
@@ -434,15 +302,9 @@ std::vector<QueryReport> SimSubEngine::QueryBatch(
           threshold = std::min(
               threshold, bounds[q].load(std::memory_order_relaxed));
         }
-        if (threshold < kInf &&
-            agg != similarity::DistanceAggregation::kOther) {
-          if (algo::MbrLowerBound(agg, TrajectoryMbr(ordinal), query.points) >
-                  threshold ||
-              algo::NearestEndpointLowerBound(agg, TrajectorySoa(ordinal),
-                                              query.points) > threshold) {
-            ++lb_skipped[q];
-            continue;
-          }
+        if (CascadeSkips(agg, ordinal, query.points, threshold)) {
+          ++lb_skipped[q];
+          continue;
         }
 
         algo::SearchResult r =
@@ -466,6 +328,9 @@ std::vector<QueryReport> SimSubEngine::QueryBatch(
 
   util::ThreadPool* pool =
       options.pool != nullptr ? options.pool : &util::ThreadPool::Shared();
+  // Run inline when parallelism cannot pay off — and always when already on
+  // a worker of the target pool, where blocking on our own futures could
+  // deadlock (every worker waiting on tasks stuck behind it in the queue).
   bool sequential =
       options.threads <= 1 ||
       uni.size() < 2 * static_cast<size_t>(options.threads) ||
@@ -489,9 +354,12 @@ std::vector<QueryReport> SimSubEngine::QueryBatch(
       reports[q].dp_abandoned = dp_abandoned[q];
     }
   } else {
-    // Same partitioned-scan shape as Query(): one task per requested
-    // thread, per-partition heaps and counters, deterministic EntryBetter
-    // merge afterwards.
+    // Partition the union into one task per requested thread; each task
+    // keeps per-query local heaps, counters and its own evaluator scratch,
+    // merged after the futures resolve. The per-trajectory search objects
+    // must be thread-compatible — all algorithms except Random-S are (they
+    // share no mutable state). The deterministic EntryBetter order makes
+    // the merged top-k independent of the partitioning.
     size_t workers = static_cast<size_t>(options.threads);
     std::vector<std::vector<TopKHeap>> heaps(workers);
     std::vector<std::vector<int64_t>> scanned(workers);
@@ -513,7 +381,9 @@ std::vector<QueryReport> SimSubEngine::QueryBatch(
                    dp_abandoned[w], &chunk_scratch);
       }));
     }
-    // Drain every future before propagating any failure (see Query()).
+    // Drain every future before propagating any failure: rethrowing while
+    // sibling tasks still run would unwind the stack frame their captured
+    // references (heaps, scanned, cands) point into.
     std::exception_ptr first_error;
     for (auto& f : futures) {
       try {
@@ -568,9 +438,7 @@ QueryReport SimSubEngine::QueryTopKSubtrajectories(
                                static_cast<int64_t>(candidates.size());
 
   const similarity::DistanceAggregation agg =
-      options.prune ? measure.aggregation()
-                    : similarity::DistanceAggregation::kOther;
-  if (agg != similarity::DistanceAggregation::kOther) EnsureSoa();
+      CascadeAggregation(options.prune ? &measure : nullptr);
   std::unique_ptr<similarity::PrefixEvaluator> owned;
   similarity::PrefixEvaluator* eval =
       similarity::AcquireEvaluator(measure, query, options.scratch, &owned);
@@ -589,7 +457,7 @@ QueryReport SimSubEngine::QueryTopKSubtrajectories(
   };
 
   // Polled per trajectory and per start point (one DP row scan each), with
-  // the same relaxed-load / clock-only-with-a-deadline idiom as Query().
+  // the same relaxed-load / clock-only-with-a-deadline idiom as QueryBatch.
   const bool has_deadline =
       options.deadline != std::chrono::steady_clock::time_point::max();
   auto interrupted = [&] {
@@ -609,12 +477,8 @@ QueryReport SimSubEngine::QueryTopKSubtrajectories(
     const geo::Trajectory& traj = database_[static_cast<size_t>(ordinal)];
     if (traj.empty()) continue;
     ++report.trajectories_scanned;
-    // Both endpoint bounds hold for every subtrajectory, whatever its size.
-    if (threshold < kInf && agg != similarity::DistanceAggregation::kOther &&
-        (algo::MbrLowerBound(agg, TrajectoryMbr(ordinal), query) >
-             threshold ||
-         algo::NearestEndpointLowerBound(agg, TrajectorySoa(ordinal), query) >
-             threshold)) {
+    // The bounds hold for every subtrajectory, whatever its size.
+    if (CascadeSkips(agg, ordinal, query, threshold)) {
       ++report.lb_skipped;
       continue;
     }

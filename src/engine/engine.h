@@ -74,7 +74,7 @@ struct QueryReport {
   int64_t trajectories_scanned = 0;
   int64_t trajectories_pruned = 0;
   /// Candidates discarded by the lower-bound cascade (MBR or
-  /// nearest-endpoint bound already above the best-kth distance) without
+  /// nearest-points bound already above the best-kth distance) without
   /// running the per-trajectory search. Counted within
   /// trajectories_scanned. Timing-dependent under multi-threaded scans
   /// (the shared bound tightens as workers progress); the RESULTS are not.
@@ -119,7 +119,7 @@ struct QueryOptions {
   similarity::EvaluatorCache* scratch = nullptr;
   /// Lower-bound pruning cascade: maintain a best-kth-distance threshold
   /// (shared atomically across scan partitions), discard candidates whose
-  /// MBR / nearest-endpoint lower bound exceeds it, and pass it into the
+  /// MBR / nearest-points lower bound exceeds it, and pass it into the
   /// search as a DP bailout. Results are bit-identical with pruning on or
   /// off — only candidates that provably cannot enter the top-k (strictly
   /// worse than the kth best, so no tie-break can admit them) are skipped.
@@ -220,7 +220,8 @@ class SimSubEngine {
   /// the query's MBR (inflated by `index_margin` meters) are pruned — the
   /// paper's bounding-box filter, which may rarely drop true answers. With
   /// kInvertedGrid, trajectories sharing no grid cell with the query are
-  /// pruned. Results are identical for any `threads` value.
+  /// pruned. Results are identical for any `threads` value. Runs as a
+  /// one-query QueryBatch.
   QueryReport Query(std::span<const geo::Point> query,
                     const algo::SubtrajectorySearch& search,
                     const QueryOptions& options) const;
@@ -250,7 +251,7 @@ class SimSubEngine {
   /// several results. Candidates shorter than `min_size` points are left
   /// out (the raw top-k is otherwise dominated by near-duplicates of the
   /// optimum). With options.prune, the k-th best distance so far is pushed
-  /// down as a threshold: trajectories whose MBR / nearest-endpoint lower
+  /// down as a threshold: trajectories whose MBR / nearest-points lower
   /// bound exceeds it are skipped (lb_skipped), and a start point stops
   /// extending once the evaluator's ExtensionLowerBound() exceeds it
   /// (dp_abandoned). Results are bit-identical with pruning on or off.
@@ -267,7 +268,7 @@ class SimSubEngine {
   }
 
   /// Cached SoA coordinate view of a data trajectory, for vectorized
-  /// passes (the cascade's nearest-endpoint bound). When the engine was
+  /// passes (the cascade's nearest-points bound). When the engine was
   /// constructed over a snapshot these are zero-copy views into the mapped
   /// columns. Otherwise they point into an owning corpus-level
   /// geo::PointsStore that duplicates ~2/3 of the database's coordinate
@@ -292,6 +293,21 @@ class SimSubEngine {
   std::vector<int64_t> CandidateOrdinals(std::span<const geo::Point> query,
                                          PruningFilter filter,
                                          double index_margin) const;
+
+  /// The aggregation family the cascade bounds with: `measure`'s, or
+  /// kOther (no bound) when `measure` is null — callers pass null when
+  /// pruning is off. Warms the SoA cache when a bound will read it.
+  similarity::DistanceAggregation CascadeAggregation(
+      const similarity::SimilarityMeasure* measure) const;
+
+  /// The lower-bound cascade of every top-k scan: true when no
+  /// subtrajectory of trajectory `ordinal` can be within `threshold` of
+  /// `query` (MbrLowerBound, then the early-abandoned
+  /// NearestPointsLowerBound, each compared strictly against `threshold`).
+  /// Always false for an infinite threshold or kOther.
+  bool CascadeSkips(similarity::DistanceAggregation agg, int64_t ordinal,
+                    std::span<const geo::Point> query,
+                    double threshold) const;
 
   /// Lazily-built owning SoA store (CSV/in-memory construction path only).
   /// Heap-held so the engine stays movable (util::Mutex is neither movable

@@ -12,7 +12,7 @@
 //
 // Two usage patterns, picked per kernel by what bench_kernels measures:
 //  * throughput-bound passes with no loop-carried dependency — Hausdorff's
-//    per-point row, ERP's per-query gap row, the engine's nearest-endpoint
+//    per-point row, ERP's per-query gap row, the engine's nearest-points
 //    lower bound — call the row primitives below and vectorize fully;
 //  * latency-bound DP sweeps (DTW/ERP/EDR/LCSS/CDTW/Frechet recurrences,
 //    serialized on scratch[j-1]) read the FlatPoints arrays directly with
@@ -91,7 +91,7 @@ void DistanceRow(const Point& p, PointsView q, double* out);
 void SquaredDistanceRow(const Point& p, PointsView q, double* out);
 
 /// Minimum over j of SquaredDistance(p, q_j). Vectorized min-reduction used
-/// by the engine's nearest-endpoint lower bound. Requires !q.empty().
+/// by the engine's nearest-points lower bound. Requires !q.empty().
 double MinSquaredDistance(const Point& p, PointsView q);
 
 /// DTW DP rows (the latency-bound sweeps of similarity/dtw.cc, hoisted here

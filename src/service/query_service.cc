@@ -275,6 +275,10 @@ std::shared_ptr<const QueryService::Resolved> QueryService::PreflightSpec(
   util::Status invalid;
   if (spec.points.empty()) {
     invalid = util::Status::InvalidArgument("spec.points must be non-empty");
+  } else if (spec.points.size() > kMaxQueryPoints) {
+    invalid = util::Status::InvalidArgument(
+        "spec.points must hold at most " + std::to_string(kMaxQueryPoints) +
+        " points, got " + std::to_string(spec.points.size()));
   } else if (spec.k <= 0 || spec.k > kMaxK) {
     invalid = util::Status::InvalidArgument(
         "spec.k must be in [1, " + std::to_string(kMaxK) + "], got " +

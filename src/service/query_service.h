@@ -199,6 +199,12 @@ class QueryService {
   /// would otherwise keep every subtrajectory of the corpus.
   static constexpr int kMaxK = 10'000;
 
+  /// Largest accepted query length (QuerySpec::points). Every stage of a
+  /// scan — the nearest-points bound, the per-trajectory DP — costs
+  /// O(trajectory length x query length) per trajectory, so the wire must
+  /// not be able to ask for an unbounded m.
+  static constexpr size_t kMaxQueryPoints = 10'000;
+
  private:
   /// A resolved (measure, search) pair, immutable once constructed and
   /// shared by every request with the same measure/algorithm configuration.

@@ -29,7 +29,8 @@ namespace simsub::service {
 /// valid until the request's future resolves; everything else is copied
 /// into the request.
 struct QuerySpec {
-  /// Query trajectory points (non-empty).
+  /// Query trajectory points: non-empty, at most
+  /// QueryService::kMaxQueryPoints.
   std::span<const geo::Point> points;
 
   /// similarity::MakeMeasure name ("dtw", "frechet", "cdtw", ...).

@@ -29,8 +29,10 @@ class CdtwMeasure : public SimilarityMeasure {
   std::unique_ptr<PrefixEvaluator> NewEvaluator(
       std::span<const geo::Point> query) const override;
 
-  /// Every banded warping path is an unconstrained DTW path, so DTW's
-  /// sum-style endpoint bounds remain valid lower bounds for CDTW.
+  /// Every banded warping path is an unconstrained DTW path, so it too
+  /// aligns every query point with some subtrajectory point, and DTW's
+  /// sum-style bounds (the MBR endpoint bound, the sum of every query
+  /// point's nearest-data-point distance) remain valid for CDTW.
   DistanceAggregation aggregation() const override {
     return DistanceAggregation::kSum;
   }

@@ -25,7 +25,9 @@ class HausdorffMeasure : public SimilarityMeasure {
                   std::span<const geo::Point> b) const override;
 
   /// Hausdorff is at least the distance from every query point to its
-  /// nearest subtrajectory point, so endpoint max-style bounds apply.
+  /// nearest subtrajectory point, so max-style bounds apply: the MBR
+  /// endpoint bound and the max over every query point of its
+  /// nearest-data-point distance.
   DistanceAggregation aggregation() const override {
     return DistanceAggregation::kMax;
   }

@@ -9,10 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "algo/exacts.h"
@@ -186,6 +188,9 @@ TEST(EnginePruneTest, PrunedPssMatchesOnRandomBoxTrajectories) {
   }
 }
 
+// Trajectories the DTW/PSS corpus below must skip (of 1200 scanned).
+constexpr int64_t kDtwPssSkipFloor = 900;
+
 TEST(EnginePruneTest, CascadeActuallySkipsAndAbandons) {
   std::vector<geo::Trajectory> db = MakeDatabase(48, 733);
   SimSubEngine engine(db);
@@ -199,7 +204,7 @@ TEST(EnginePruneTest, CascadeActuallySkipsAndAbandons) {
   QueryOptions options;
   options.k = 1;
   QueryReport report = engine.Query(query, search, options);
-  EXPECT_GT(report.lb_skipped, 0) << "MBR/nearest-endpoint cascade inert";
+  EXPECT_GT(report.lb_skipped, 0) << "MBR/nearest-points cascade inert";
   EXPECT_GT(report.dp_abandoned, 0) << "DP bailout inert";
   // Counters stay within the scan.
   EXPECT_LE(report.lb_skipped, report.trajectories_scanned);
@@ -211,6 +216,32 @@ TEST(EnginePruneTest, CascadeActuallySkipsAndAbandons) {
   EXPECT_EQ(unpruned.lb_skipped, 0);
   EXPECT_EQ(unpruned.dp_abandoned, 0);
   ExpectSameResults(unpruned, report, "counters-query");
+
+  // DTW under PSS, the paper's main configuration: PSS takes no DP
+  // bailout, so the trajectory skip is its only pruning. Held-out queries
+  // over a larger corpus, k = 10 as in the serving benchmark. Skipping on
+  // the two query endpoints alone stays well under the floor; the
+  // all-points bound clears it.
+  std::vector<geo::Trajectory> corpus = MakeDatabase(400, 734);
+  SimSubEngine dtw_engine(corpus);
+  algo::PssSearch pss(&dtw);
+  int64_t skipped = 0;
+  int64_t scanned = 0;
+  for (uint64_t seed : {735u, 736u, 737u}) {
+    std::vector<geo::Trajectory> other = MakeDatabase(1, seed);
+    const auto& pts = other.front().points();
+    std::vector<geo::Point> held_out(
+        pts.begin(), pts.begin() + std::min<size_t>(24, pts.size()));
+    QueryOptions pss_options;
+    pss_options.k = 10;
+    QueryReport pruned = dtw_engine.Query(held_out, pss, pss_options);
+    pss_options.prune = false;
+    ExpectSameResults(dtw_engine.Query(held_out, pss, pss_options), pruned,
+                      "dtw/pss seed " + std::to_string(seed));
+    skipped += pruned.lb_skipped;
+    scanned += pruned.trajectories_scanned;
+  }
+  EXPECT_GE(skipped, kDtwPssSkipFloor) << "of " << scanned << " scanned";
 }
 
 // Subtrajectory-level top-k, pruned vs unpruned, bit for bit: ids, ranges

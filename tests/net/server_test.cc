@@ -46,9 +46,12 @@ service::QueryService MakeSlowService(int threads, int trajectories = 120) {
       engine::SimSubEngine(std::move(d.trajectories)), options);
 }
 
-/// An expensive spec: full scan + exact search over the whole query.
+/// An expensive spec: full scan + exact search over the whole query, with
+/// the lower-bound cascade off so that the scan stays long enough to be
+/// observed in flight.
 service::QuerySpec SlowSpec(const geo::Trajectory& query) {
   service::QuerySpec spec;
+  spec.prune = false;
   spec.points = query.View();
   spec.measure = "dtw";
   spec.algorithm = "exacts";

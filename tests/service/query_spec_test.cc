@@ -274,6 +274,33 @@ TEST(QuerySpecTest, KAboveTheCapIsRejected) {
   EXPECT_FALSE(report.results.empty());
 }
 
+// A query longer than QueryService::kMaxQueryPoints is refused before any
+// engine work; one at the cap is served.
+TEST(QuerySpecTest, QueryLongerThanTheCapIsRejected) {
+  QueryService service = MakeService(1);
+  const auto& src = service.engine().database()[0].points();
+  std::vector<geo::Point> query;
+  for (size_t i = 0; query.size() <= QueryService::kMaxQueryPoints; ++i) {
+    query.push_back(src[i % src.size()]);
+  }
+  QuerySpec spec;
+  spec.points = query;
+  spec.measure = "frechet";
+  spec.algorithm = "pss";
+  engine::QueryReport report = service.RunOne(spec);
+  EXPECT_EQ(report.status.code(), util::StatusCode::kInvalidArgument)
+      << report.status.ToString();
+  EXPECT_TRUE(report.results.empty());
+  EXPECT_EQ(service.Submit(spec).get().status.code(),
+            util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.stats().rejected, 2);
+
+  spec.points = std::span(query).first(QueryService::kMaxQueryPoints);
+  report = service.RunOne(spec);
+  EXPECT_TRUE(report.status.ok()) << report.status.ToString();
+  EXPECT_FALSE(report.results.empty());
+}
+
 // topk-sub honours spec.prune AND-ed with ServiceOptions::prune: the
 // cascade counters move only when both are on, the results never do, and
 // the enumeration runs on the worker's reused evaluator.
