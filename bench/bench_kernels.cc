@@ -2,20 +2,16 @@
 // two-pass kernels (geo/soa.h), and the engine's top-k scan with the
 // lower-bound pruning cascade on vs off.
 //
-// Four tiers are measured:
+// Three tiers are measured:
 //   1. distance-row primitives — the sqrt-per-element row fill that
 //      dominates every DP evaluator, AoS scalar vs SoA vectorized;
 //   2. the DTW evaluator — the pre-SoA per-cell implementation (replicated
 //      below verbatim) vs the production two-pass DtwEvaluator, streaming a
 //      long trajectory through Start/Extend;
 //   3. end-to-end engine top-k — SimSubEngine::Query with
-//      QueryOptions::prune off vs on (1 thread and hardware threads),
-//      asserting the results are bit-identical and reporting the prune
-//      counters (lb_skipped, dp_abandoned);
-//   4. multi-query batching — the same pruned workload through one
-//      SimSubEngine::QueryBatch tiled scan (single-threaded, so the
-//      reported qps_per_core is literally queries per second per core),
-//      asserting bit-identity against the one-at-a-time reports.
+//      QueryOptions::prune off vs on, asserting the results are
+//      bit-identical and reporting the prune counters (lb_skipped,
+//      dp_abandoned).
 //
 // The SoA kernels dispatch through the runtime ISA tiers
 // (geo/simd_dispatch.h); the selected tier is recorded in the JSON config
@@ -28,7 +24,6 @@
 #include <cstdio>
 #include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "algo/exacts.h"
@@ -251,31 +246,27 @@ int main(int argc, char** argv) {
       dataset, queries, data::LengthGroup{30, 45, "G1"}, 4243);
   engine::SimSubEngine engine(std::move(dataset.trajectories));
   algo::ExactS exact(&dtw);
-  int hw = static_cast<int>(std::max(2u, std::thread::hardware_concurrency()));
 
-  auto run_all = [&](bool prune, int threads, int64_t* lb_skipped,
-                     int64_t* dp_abandoned,
+  auto run_all = [&](bool prune, int64_t* lb_skipped, int64_t* dp_abandoned,
                      std::vector<engine::QueryReport>* reports) {
     util::Stopwatch timer;
     for (const auto& pair : workload) {
       engine::QueryOptions qo;
       qo.k = k;
-      qo.threads = threads;
       qo.prune = prune;
       engine::QueryReport r = engine.Query(pair.query.View(), exact, qo);
       if (lb_skipped != nullptr) *lb_skipped += r.lb_skipped;
       if (dp_abandoned != nullptr) *dp_abandoned += r.dp_abandoned;
-      if (reports != nullptr) reports->push_back(std::move(r));
+      reports->push_back(std::move(r));
     }
     return timer.ElapsedSeconds();
   };
 
   std::vector<engine::QueryReport> unpruned_reports, pruned_reports;
-  double unpruned_s = run_all(false, 1, nullptr, nullptr, &unpruned_reports);
+  double unpruned_s = run_all(false, nullptr, nullptr, &unpruned_reports);
   int64_t lb_skipped = 0, dp_abandoned = 0;
-  double pruned_s = run_all(true, 1, &lb_skipped, &dp_abandoned,
+  double pruned_s = run_all(true, &lb_skipped, &dp_abandoned,
                             &pruned_reports);
-  double pruned_mt_s = run_all(true, hw, nullptr, nullptr, nullptr);
 
   bool identical = true;
   for (size_t i = 0; i < unpruned_reports.size() && identical; ++i) {
@@ -289,58 +280,12 @@ int main(int argc, char** argv) {
   }
 
   double engine_speedup = pruned_s > 0 ? unpruned_s / pruned_s : 0.0;
-  double engine_speedup_mt = pruned_mt_s > 0 ? unpruned_s / pruned_mt_s : 0.0;
-  std::printf("engine top-%d: unpruned %7.1f ms | pruned %7.1f ms (%.2fx) | "
-              "pruned %dT %7.1f ms (%.2fx)\n",
-              k, unpruned_s * 1e3, pruned_s * 1e3, engine_speedup, hw,
-              pruned_mt_s * 1e3, engine_speedup_mt);
+  std::printf("engine top-%d: unpruned %7.1f ms | pruned %7.1f ms (%.2fx)\n",
+              k, unpruned_s * 1e3, pruned_s * 1e3, engine_speedup);
   std::printf("prune counters: lb_skipped=%lld dp_abandoned=%lld | "
               "pruned==unpruned: %s\n",
               static_cast<long long>(lb_skipped),
               static_cast<long long>(dp_abandoned), identical ? "yes" : "NO");
-
-  // ---- Tier 4: multi-query batched scan. -----------------------------------
-  // The tier-3 pruned single-thread loop is the sequential baseline; the
-  // batched side pushes the whole workload through one QueryBatch tiled
-  // scan, also single-threaded, so the speedup isolates the cache-tiling
-  // effect (each trajectory searched against every query while hot) and
-  // qps_per_core is exactly queries / seconds on one core.
-  std::vector<engine::BatchedQueryView> views;
-  views.reserve(workload.size());
-  for (const auto& pair : workload) {
-    engine::BatchedQueryView v;
-    v.points = pair.query.View();
-    v.k = k;
-    views.push_back(v);
-  }
-  double batched_s = 0.0;
-  std::vector<engine::QueryReport> batched_reports;
-  {
-    util::Stopwatch timer;
-    engine::BatchQueryOptions bo;
-    bo.threads = 1;
-    bo.prune = true;
-    batched_reports = engine.QueryBatch(views, exact, bo);
-    batched_s = timer.ElapsedSeconds();
-  }
-  bool batched_identical = true;
-  for (size_t i = 0; i < pruned_reports.size() && batched_identical; ++i) {
-    const auto& a = pruned_reports[i].results;
-    const auto& b = batched_reports[i].results;
-    batched_identical = a.size() == b.size();
-    for (size_t j = 0; batched_identical && j < a.size(); ++j) {
-      batched_identical = a[j].trajectory_id == b[j].trajectory_id &&
-                          a[j].range == b[j].range &&
-                          a[j].distance == b[j].distance;
-    }
-  }
-  double batched_speedup = batched_s > 0 ? pruned_s / batched_s : 0.0;
-  double qps_per_core =
-      batched_s > 0 ? static_cast<double>(workload.size()) / batched_s : 0.0;
-  std::printf("batched top-%d: sequential %7.1f ms | batched %7.1f ms "
-              "(%.2fx) | %.2f qps/core | batched==sequential: %s\n",
-              k, pruned_s * 1e3, batched_s * 1e3, batched_speedup,
-              qps_per_core, batched_identical ? "yes" : "NO");
 
   std::FILE* json = std::fopen(out.c_str(), "w");
   if (json == nullptr) {
@@ -361,35 +306,24 @@ int main(int argc, char** argv) {
       "  \"dtw_extend\": {\"scalar_ns_per_cell\": %.3f, "
       "\"soa_ns_per_cell\": %.3f, \"speedup\": %.3f},\n"
       "  \"engine_topk\": {\"unpruned_seconds\": %.6f, "
-      "\"pruned_seconds\": %.6f, \"pruned_mt_seconds\": %.6f, "
-      "\"mt_threads\": %d, \"speedup\": %.3f, \"speedup_mt\": %.3f,\n"
+      "\"pruned_seconds\": %.6f, \"speedup\": %.3f,\n"
       "                  \"lb_skipped\": %lld, \"dp_abandoned\": %lld, "
       "\"pruned_identical_to_unpruned\": %s},\n"
-      "  \"batched\": {\"sequential_seconds\": %.6f, "
-      "\"batched_seconds\": %.6f, \"speedup\": %.3f, "
-      "\"qps_per_core\": %.3f, \"identical_to_sequential\": %s},\n"
       "  \"checksum\": %.6e\n"
       "}\n",
       query_len, stream_len, trajectories, queries, k,
       quick ? "true" : "false", geo::ActiveIsaName(), dist_row.scalar_ns,
       dist_row.soa_ns, dist_row.speedup(), sq_row.scalar_ns, sq_row.soa_ns,
       sq_row.speedup(), dtw_stream.scalar_ns, dtw_stream.soa_ns,
-      dtw_stream.speedup(), unpruned_s, pruned_s, pruned_mt_s, hw,
-      engine_speedup, engine_speedup_mt, static_cast<long long>(lb_skipped),
-      static_cast<long long>(dp_abandoned), identical ? "true" : "false",
-      pruned_s, batched_s, batched_speedup, qps_per_core,
-      batched_identical ? "true" : "false", checksum);
+      dtw_stream.speedup(), unpruned_s, pruned_s, engine_speedup,
+      static_cast<long long>(lb_skipped), static_cast<long long>(dp_abandoned),
+      identical ? "true" : "false", checksum);
   std::fclose(json);
   std::printf("wrote %s\n", out.c_str());
 
   if (!identical) {
     std::fprintf(stderr,
                  "FAIL: pruned top-k differs from unpruned results\n");
-    return 1;
-  }
-  if (!batched_identical) {
-    std::fprintf(stderr,
-                 "FAIL: batched top-k differs from sequential results\n");
     return 1;
   }
   std::printf("OK\n");

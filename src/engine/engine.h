@@ -3,20 +3,18 @@
 // pruned by a bounding-box R-tree or an inverted grid — run a per-trajectory
 // SimSub algorithm, and maintain the top-k most similar subtrajectories.
 //
-// Parallel scans run on a persistent util::ThreadPool (the process-wide
-// shared pool by default) instead of spawning threads per query, and the
-// per-trajectory searches reuse evaluator DP scratch through
-// similarity::EvaluatorCache. Results are deterministic regardless of the
-// thread count: top-k ties are broken by (distance, trajectory_id,
-// range.start, range.end).
+// Every query is one sequential scan on the calling thread; parallelism
+// comes only from running many queries at once (service::QueryService's
+// worker pool). The per-trajectory searches reuse evaluator DP scratch
+// through similarity::EvaluatorCache. Top-k ties are broken by (distance,
+// trajectory_id, range.start, range.end), so answers are deterministic.
 //
 // Top-k queries, per-trajectory and subtrajectory-level alike, additionally
-// run a lower-bound pruning cascade (UCR-style, see algo/lower_bounds.h): a
-// best-kth-distance threshold (shared atomically across workers) discards
-// candidates from their cached MBR / SoA lower bounds and early-abandons
-// the DP.
-// Pruned results are bit-identical to unpruned ones at any thread count;
-// QueryOptions::prune turns the cascade off for measurement.
+// run a lower-bound pruning cascade (UCR-style, see algo/lower_bounds.h): the
+// local heap's k-th best distance discards candidates from their cached MBR
+// / SoA lower bounds and early-abandons the DP. Pruned results are
+// bit-identical to unpruned ones; QueryOptions::prune turns the cascade off
+// for measurement.
 #ifndef SIMSUB_ENGINE_ENGINE_H_
 #define SIMSUB_ENGINE_ENGINE_H_
 
@@ -37,7 +35,6 @@
 #include "similarity/measure.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
-#include "util/thread_pool.h"
 
 namespace simsub::data {
 class CorpusSnapshot;
@@ -64,8 +61,8 @@ struct TopKEntry {
 };
 
 /// Strict total order on entries — smaller distance first, ties broken by
-/// (trajectory_id, range.start, range.end) so multi-threaded scans keep
-/// exactly the same k entries as sequential ones.
+/// (trajectory_id, range.start, range.end), so the kept k entries do not
+/// depend on the order candidates are offered in.
 bool EntryBetter(const TopKEntry& a, const TopKEntry& b);
 
 /// Per-query execution report.
@@ -76,8 +73,9 @@ struct QueryReport {
   /// Candidates discarded by the lower-bound cascade (MBR or
   /// nearest-points bound already above the best-kth distance) without
   /// running the per-trajectory search. Counted within
-  /// trajectories_scanned. Timing-dependent under multi-threaded scans
-  /// (the shared bound tightens as workers progress); the RESULTS are not.
+  /// trajectories_scanned. Like the other scan counters it is a pure
+  /// function of the query, the corpus and the options: the scan is one
+  /// sequential loop, so no timing enters.
   int64_t lb_skipped = 0;
   /// Start points whose DP extension scan was abandoned early inside the
   /// per-trajectory search (best-so-far / bailout threshold exceeded).
@@ -110,28 +108,23 @@ struct QueryOptions {
   PruningFilter filter = PruningFilter::kNone;
   /// MBR inflation (meters) for the R-tree filter.
   double index_margin = 0.0;
-  /// Number of scan partitions; > 1 runs them on `pool` (or the shared
-  /// process pool when null). 1 scans inline on the calling thread.
-  int threads = 1;
-  util::ThreadPool* pool = nullptr;
-  /// Caller-owned per-worker evaluator scratch, used by the sequential path
-  /// (parallel partitions keep their own). Null allocates a transient cache.
+  /// Caller-owned evaluator scratch (one per worker thread). Null allocates
+  /// a transient cache.
   similarity::EvaluatorCache* scratch = nullptr;
   /// Lower-bound pruning cascade: maintain a best-kth-distance threshold
-  /// (shared atomically across scan partitions), discard candidates whose
+  /// (the local top-k heap's k-th distance), discard candidates whose
   /// MBR / nearest-points lower bound exceeds it, and pass it into the
   /// search as a DP bailout. Results are bit-identical with pruning on or
   /// off — only candidates that provably cannot enter the top-k (strictly
   /// worse than the kth best, so no tie-break can admit them) are skipped.
   bool prune = true;
   /// Cooperative cancellation flag (caller-owned, may be flipped from any
-  /// thread). Checked between per-trajectory searches in every scan
-  /// partition: once set, the scan stops early and the report comes back
+  /// thread). Checked between per-trajectory searches: once set, the scan
+  /// stops early and the report comes back
   /// with status Cancelled and partial results. Null = not cancellable.
   const std::atomic<bool>* cancel = nullptr;
   /// Absolute execution deadline. Checked alongside `cancel` between
-  /// per-trajectory searches in every scan partition: once the clock
-  /// passes it, the scan stops and the report comes back with status
+  /// per-trajectory searches: once the clock passes it, the scan stops and the report comes back with status
   /// DeadlineExceeded and partial results — the execution-time half of the
   /// service's deadline contract (queue expiry is the service's half).
   /// time_point::max() (the default) = no deadline, and the scan never
@@ -153,36 +146,28 @@ struct SubtrajectoryTopKOptions {
       std::chrono::steady_clock::time_point::max();
 };
 
-/// One query of a batched scan (SimSubEngine::QueryBatch). The points span
-/// and the cancel flag (when set) must stay valid until the batch returns.
+/// One query of SimSubEngine::QueryBatch. The points span and the cancel
+/// flag (when set) must stay valid until the batch returns.
 struct BatchedQueryView {
   std::span<const geo::Point> points;
   int k = 1;
-  /// Pruning filter for THIS query (batches may mix filters: the serving
-  /// layer plans per query).
+  /// Pruning filter for THIS query (batches may mix filters).
   PruningFilter filter = PruningFilter::kNone;
   /// Same contracts as QueryOptions::cancel / QueryOptions::deadline, per
   /// query: a tripped flag or an expired clock stops only this query (its
   /// report comes back Cancelled / DeadlineExceeded with partial results);
-  /// the rest of the batch keeps scanning.
+  /// the rest of the batch still runs.
   const std::atomic<bool>* cancel = nullptr;
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
 };
 
 /// Execution knobs for SimSubEngine::QueryBatch (the subset of QueryOptions
-/// that is batch-wide rather than per-query).
+/// that is batch-wide rather than per-query); each field has the contract
+/// of the QueryOptions field of the same name.
 struct BatchQueryOptions {
   double index_margin = 0.0;
-  /// Scan partitions over the candidate union; > 1 runs them on `pool` (or
-  /// the shared process pool when null). 1 scans inline.
-  int threads = 1;
-  util::ThreadPool* pool = nullptr;
-  /// Caller-owned evaluator scratch for the sequential path (parallel
-  /// partitions keep their own). Null allocates a transient cache.
   similarity::EvaluatorCache* scratch = nullptr;
-  /// Per-query lower-bound cascade, exactly as QueryOptions::prune (one
-  /// shared best-kth bound per query, bit-identical results either way).
   bool prune = true;
 };
 
@@ -220,25 +205,16 @@ class SimSubEngine {
   /// the query's MBR (inflated by `index_margin` meters) are pruned — the
   /// paper's bounding-box filter, which may rarely drop true answers. With
   /// kInvertedGrid, trajectories sharing no grid cell with the query are
-  /// pruned. Results are identical for any `threads` value. Runs as a
-  /// one-query QueryBatch.
+  /// pruned. The scan runs inline on the calling thread, in ascending
+  /// candidate order; its pruning threshold is the local heap's k-th
+  /// distance once k entries are kept.
   QueryReport Query(std::span<const geo::Point> query,
                     const algo::SubtrajectorySearch& search,
                     const QueryOptions& options) const;
 
-  /// Runs several queries through ONE scan of the database: the candidate
-  /// sets are unioned, and every trajectory is searched against all queries
-  /// that want it while its columns are hot in cache (the multi-query
-  /// tiling behind service::QueryService::SubmitBatch). reports[i] answers
-  /// queries[i] and is bit-identical to Query(queries[i].points, search,
-  /// ...) with the matching per-query options, at any thread count: each
-  /// query keeps its own candidate order (ascending ordinal, same as the
-  /// one-at-a-time scan), its own top-k heap and its own shared best-kth
-  /// bound, and pruning only ever skips candidates provably worse than k
-  /// already-found entries. Per-query `seconds` reports the whole batch
-  /// scan's elapsed time (the scan is shared, so per-query attribution is
-  /// not meaningful). All queries run against the same `search`; batches
-  /// mixing measures or algorithms must be split by the caller.
+  /// Answers several queries against one `search`: reports[i] is
+  /// Query(queries[i].points, search, ...) with the matching per-query
+  /// options, run one after another on the calling thread.
   std::vector<QueryReport> QueryBatch(
       std::span<const BatchedQueryView> queries,
       const algo::SubtrajectorySearch& search,
@@ -275,8 +251,8 @@ class SimSubEngine {
   /// storage, so it is built lazily — on the first query that can use it
   /// (pruned, sum/max-aggregating measure) — and never for workloads that
   /// cannot (pruning off, or only edit-count/learned measures).
-  /// Thread-safe; concurrent first callers block until the one-time build
-  /// finishes.
+  /// Thread-safe (concurrent queries share one engine); concurrent first
+  /// callers block until the one-time build finishes.
   geo::PointsView TrajectorySoa(int64_t ordinal) const {
     return EnsureSoa().TrajectoryView(static_cast<size_t>(ordinal));
   }
@@ -296,7 +272,8 @@ class SimSubEngine {
 
   /// The aggregation family the cascade bounds with: `measure`'s, or
   /// kOther (no bound) when `measure` is null — callers pass null when
-  /// pruning is off. Warms the SoA cache when a bound will read it.
+  /// pruning is off. Builds the SoA cache before the scan when a bound will
+  /// read it.
   similarity::DistanceAggregation CascadeAggregation(
       const similarity::SimilarityMeasure* measure) const;
 

@@ -1,34 +1,36 @@
 // The persistent serving layer over SimSubEngine: a fixed worker pool, a
-// declarative async request API (QuerySpec -> std::future<QueryReport>), a
-// batch API, per-worker reusable evaluator scratch, and per-query planning.
+// declarative async request API (QuerySpec -> std::future<QueryReport>),
+// per-worker reusable evaluator scratch, and per-query planning.
 //
-// SimSubEngine::Query answers one query; under database-level traffic
-// (ROADMAP north star, paper Section 6.2) the caller used to pay thread
-// spawning and DP-scratch allocation per query. QueryService amortizes all
-// of it: workers live as long as the service, each worker owns one
-// similarity::EvaluatorCache whose DP rows persist across trajectories,
-// queries, and batches, the planner picks the pruning filter per query
-// instead of hardcoding one per call site, and resolved (measure, search)
-// pairs are cached per service so a QuerySpec costs two registry lookups
-// only on its first use.
+// SimSubEngine::Query answers one query with one sequential scan; under
+// database-level traffic (ROADMAP north star, paper Section 6.2) the
+// service is where parallelism lives: every request runs as one task on
+// the worker pool, so many queries run at once and none is split. Workers
+// live as long as the service, each worker owns one
+// similarity::EvaluatorCache whose DP rows persist across trajectories and
+// queries, the planner picks the pruning filter per query instead of
+// hardcoding one per call site, and resolved (measure, search) pairs are
+// cached per service so a QuerySpec costs two registry lookups only on its
+// first use.
 //
-// Determinism: a SubmitBatch() over specs resolves to exactly what running
-// each spec through RunOne() sequentially returns (same entries,
-// bit-identical distances), regardless of worker count or how many
-// dispatcher threads submitted — the engine's top-k order is total, the
-// planner is a pure function of the query and database statistics, and
-// resolved searches are immutable ("random-s" gets a fresh
-// deterministically-seeded instance per execution instead of a shared one).
+// Determinism: a Submit() or SubmitBatch() over specs resolves to exactly
+// what running each spec through RunOne() sequentially returns (same
+// entries, bit-identical distances, same scan counters), regardless of
+// worker count or how many dispatcher threads submitted — each query is
+// one sequential scan whose top-k order is total, the planner is a pure
+// function of the query and database statistics, and resolved searches are
+// immutable ("random-s" gets a fresh deterministically-seeded instance per
+// execution instead of a shared one).
 //
 // Threading contract: every public method is safe to call from multiple
-// application threads concurrently — Submit/SubmitBatch/RunBatch/RunOne/
-// stats may all overlap. Statistics counters are atomic (stats() is safe
-// to read during a running batch), pool workers own their scratch slot by
-// worker index, and foreign calling threads lease scratch from a
-// mutex-guarded pool. Calling RunBatch from inside one of the service's own
-// pool tasks is safe: it detects the re-entrancy and executes inline
-// instead of deadlocking. Blocking on a Submit() future from inside a pool
-// task is NOT safe (the task would wait on work queued behind itself).
+// application threads concurrently — Submit/SubmitBatch/RunOne/stats may
+// all overlap. Statistics counters are atomic (stats() is safe to read
+// while queries run), pool workers own their scratch slot by worker index,
+// and foreign calling threads lease scratch from a mutex-guarded pool.
+// RunOne is safe from inside one of the service's own pool tasks (it runs
+// inline on that worker's scratch). Blocking on a Submit() future from
+// inside a pool task is NOT safe (the task would wait on work queued
+// behind itself).
 #ifndef SIMSUB_SERVICE_QUERY_SERVICE_H_
 #define SIMSUB_SERVICE_QUERY_SERVICE_H_
 
@@ -36,7 +38,6 @@
 #include <chrono>
 #include <future>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -56,15 +57,6 @@ class CorpusSnapshot;
 
 namespace simsub::service {
 
-/// One query in a pre-resolved batch (RunBatch with a caller-owned search).
-/// The points span must stay valid until the batch call returns.
-struct BatchQuery {
-  std::span<const geo::Point> points;
-  int k = 10;
-  /// Explicit filter override; nullopt lets the planner decide.
-  std::optional<engine::PruningFilter> filter;
-};
-
 struct ServiceOptions {
   /// Worker pool width; 0 = hardware concurrency.
   int threads = 0;
@@ -78,14 +70,9 @@ struct ServiceOptions {
   bool build_inverted_grid = true;
   int inverted_grid_cols = 64;
   int inverted_grid_rows = 64;
-  /// Queries per batched scan tile in SubmitBatch. Batchable specs that
-  /// share a resolution key (same measure/algorithm/options and prune
-  /// flag) are grouped and served through the engine's multi-query tiled
-  /// scan (SimSubEngine::QueryBatch) in tiles of this many queries — one
-  /// pool task per tile, so tiles run concurrently across workers while
-  /// each tile amortizes every trajectory load over its queries. <= 1
-  /// disables tiling (every spec becomes its own Submit). Results are
-  /// bit-identical either way.
+  /// Not read by the service: SubmitBatch submits every spec on its own.
+  /// Kept only because servebench/src/main.cc still names it; the next
+  /// change to servebench removes it.
   int batch_tile = 8;
   QueryPlanner::Options planner;
 };
@@ -102,7 +89,8 @@ struct ServiceStats {
   int64_t cancelled = 0;
   int64_t rejected = 0;
   /// Requests that started executing and came back with a non-OK status
-  /// other than Cancelled/DeadlineExceeded (those count above).
+  /// other than Cancelled/DeadlineExceeded (those count above), or whose
+  /// Submit() execution threw (the future rethrows).
   int64_t failed = 0;
   /// QuerySpec resolutions: cache hits vs full registry constructions.
   int64_t spec_cache_hits = 0;
@@ -153,12 +141,10 @@ class QueryService {
   /// through to the worker (pass a temporary and nothing is copied).
   std::future<engine::QueryReport> Submit(QuerySpec spec);
 
-  /// Submits every spec and returns their futures in order (futures[i]
-  /// answers specs[i]). Results are bit-identical to calling RunOne on each
-  /// spec sequentially, whatever the worker count or tile size: specs that
-  /// share a resolution key ride a multi-query tiled engine scan
-  /// (ServiceOptions::batch_tile) that answers each of them exactly as a
-  /// one-at-a-time scan would; the rest go through the one-spec path.
+  /// Submit()s every spec and returns their futures in order (futures[i]
+  /// answers specs[i]); counts one served batch. Results are bit-identical
+  /// to calling RunOne on each spec sequentially, whatever the worker
+  /// count.
   std::vector<std::future<engine::QueryReport>> SubmitBatch(
       std::span<const QuerySpec> specs);
 
@@ -166,22 +152,8 @@ class QueryService {
   /// hop, queue_seconds == 0); the reference semantics for Submit.
   engine::QueryReport RunOne(const QuerySpec& spec);
 
-  /// Executes `queries` concurrently on the worker pool with `search` as
-  /// the per-trajectory algorithm — the pre-resolved escape hatch for
-  /// callers that constructed their own search. results[i] answers
-  /// queries[i]; each report carries the filter used, the planner's
-  /// selectivity estimate, and the per-query latency in `seconds`.
-  std::vector<engine::QueryReport> RunBatch(
-      std::span<const BatchQuery> queries,
-      const algo::SubtrajectorySearch& search);
-
-  /// Plans and executes one pre-resolved query inline on the calling
-  /// thread; the reference semantics for RunBatch.
-  engine::QueryReport RunOne(const BatchQuery& query,
-                             const algo::SubtrajectorySearch& search);
-
   /// Snapshot of the cumulative counters. Safe to call at any time,
-  /// including while batches are running on other threads.
+  /// including while queries are running on other threads.
   ServiceStats stats() const SIMSUB_EXCLUDES(scratch_mu_);
 
   /// Number of distinct (measure, algorithm) pairs currently cached.
@@ -247,8 +219,8 @@ class QueryService {
       const QuerySpec& spec,
       std::chrono::steady_clock::time_point submitted);
 
-  /// The refusal half of the request lifecycle, shared by ServeSpec and
-  /// ServeTile: cancel / queue-deadline checks, validation, resolution.
+  /// The refusal half of the request lifecycle: cancel / queue-deadline
+  /// checks, validation, resolution.
   /// Returns null when the request never runs — report->status is set and
   /// the refusal is already counted; otherwise returns the resolution and
   /// writes the absolute execution deadline (anchored at `submitted`) to
@@ -260,19 +232,10 @@ class QueryService {
       engine::QueryReport* report,
       std::chrono::steady_clock::time_point* deadline);
 
-  /// Post-execution stats bookkeeping shared by ServeSpec and ServeTile:
-  /// OK counts as served (plus the per-report cascade counters), Cancelled
-  /// / DeadlineExceeded / anything else bump their respective counters.
+  /// Post-execution stats bookkeeping: OK counts as served (plus its plan
+  /// and the report's cascade counters), Cancelled / DeadlineExceeded /
+  /// anything else bump their respective counters.
   void CountOutcome(const engine::QueryReport& report);
-
-  /// One SubmitBatch tile, executed on a pool worker: preflights every
-  /// spec, runs the survivors through one batched engine scan (inline on
-  /// this worker — tiles parallelize across workers, not within), and
-  /// fulfills promises[i] with specs[i]'s report. All specs share one
-  /// resolution key and the same prune flag (the grouping invariant).
-  void ServeTile(const std::vector<QuerySpec>& specs,
-                 std::vector<std::promise<engine::QueryReport>>& promises,
-                 std::chrono::steady_clock::time_point submitted);
 
   /// `scratch` is the calling thread's evaluator cache (ScratchLease).
   /// `deadline` is the absolute execution deadline derived from
@@ -283,12 +246,6 @@ class QueryService {
       const QuerySpec& spec, const Resolved& resolved,
       similarity::EvaluatorCache& scratch,
       std::chrono::steady_clock::time_point deadline);
-
-  engine::QueryReport Execute(const BatchQuery& query,
-                              const algo::SubtrajectorySearch& search,
-                              similarity::EvaluatorCache& scratch);
-  void CountPlan(engine::PruningFilter filter);
-  void CountReport(const engine::QueryReport& report);
 
   /// Scratch for the calling thread: the worker's own slot on a pool
   /// thread, otherwise a leased cache returned by the RAII lease below.

@@ -1,6 +1,5 @@
 #include "util/thread_pool.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/logging.h"
@@ -84,12 +83,6 @@ void ThreadPool::WorkerLoop(int index) {
     }
     if (drained) all_done_.notify_all();
   }
-}
-
-ThreadPool& ThreadPool::Shared() {
-  static ThreadPool* shared = new ThreadPool(
-      std::max(1u, std::thread::hardware_concurrency()));
-  return *shared;
 }
 
 }  // namespace simsub::util

@@ -1,5 +1,5 @@
-// A persistent fixed-width worker pool shared across queries, replacing the
-// per-query std::thread spawning the engine used to do on its hot path.
+// A persistent fixed-width worker pool: service::QueryService runs each
+// query as one task on it, so queries never spawn threads of their own.
 //
 // Design points:
 //   * Submit() enqueues a task and returns a std::future<void>; a task that
@@ -12,8 +12,7 @@
 //   * WorkerIndex() identifies the calling pool thread, which lets callers
 //     keep per-worker scratch (e.g. similarity::EvaluatorCache) without
 //     locking. Blocking on a future from inside a worker of the same pool
-//     can deadlock; callers that may run on pool threads should check
-//     OnWorkerThread() and execute inline instead (see SimSubEngine::Query).
+//     can deadlock (the task would wait on work queued behind itself).
 #ifndef SIMSUB_UTIL_THREAD_POOL_H_
 #define SIMSUB_UTIL_THREAD_POOL_H_
 
@@ -52,12 +51,6 @@ class ThreadPool {
   /// Index in [0, size()) when called from one of this pool's workers,
   /// -1 otherwise.
   int WorkerIndex() const;
-  bool OnWorkerThread() const { return WorkerIndex() >= 0; }
-
-  /// Process-wide lazily-created pool with hardware_concurrency workers.
-  /// Never destroyed (intentionally leaked so late Submits cannot race
-  /// static teardown).
-  static ThreadPool& Shared();
 
  private:
   struct Task {

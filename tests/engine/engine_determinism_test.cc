@@ -1,16 +1,19 @@
 // Regression tests for top-k tie-break determinism: with equal-distance
-// candidates (e.g. duplicated trajectories), the engine's old heap merge
-// kept an arbitrary subset depending on the scan partitioning, so
-// multi-threaded queries could differ run-to-run. The total order
-// (distance, trajectory_id, range.start, range.end) pins the answer.
+// candidates (e.g. duplicated trajectories), a heap without a total order
+// keeps an arbitrary subset of the ties. The total order (distance,
+// trajectory_id, range.start, range.end) pins the answer, and it must stay
+// pinned when many queries run at once on the service's worker pool.
 #include "engine/engine.h"
 
 #include <gtest/gtest.h>
 
+#include <future>
+#include <string>
 #include <vector>
 
 #include "algo/exacts.h"
 #include "data/generator.h"
+#include "service/query_service.h"
 #include "similarity/dtw.h"
 
 namespace simsub::engine {
@@ -19,11 +22,29 @@ namespace {
 similarity::DtwMeasure kDtw;
 
 QueryReport RunQuery(const SimSubEngine& engine, std::span<const geo::Point> query,
-                const algo::SubtrajectorySearch& search, int k, int threads) {
+                const algo::SubtrajectorySearch& search, int k) {
   QueryOptions options;
   options.k = k;
-  options.threads = threads;
   return engine.Query(query, search, options);
+}
+
+// Serves `copies` identical specs concurrently on a `workers`-wide pool.
+std::vector<QueryReport> ServeConcurrently(std::vector<geo::Trajectory> db,
+                                           std::span<const geo::Point> query,
+                                           int k, int workers, int copies) {
+  service::ServiceOptions options;
+  options.threads = workers;
+  service::QueryService service(SimSubEngine(std::move(db)), options);
+  service::QuerySpec spec;
+  spec.points = query;
+  spec.k = k;
+  spec.filter = PruningFilter::kNone;
+  std::vector<service::QuerySpec> specs(static_cast<size_t>(copies), spec);
+  std::vector<QueryReport> reports;
+  for (auto& future : service.SubmitBatch(specs)) {
+    reports.push_back(future.get());
+  }
+  return reports;
 }
 
 // Database of `copies` identical trajectories (distinct ids) plus a few
@@ -56,34 +77,43 @@ TEST(EngineDeterminismTest, EntryBetterIsAStrictTotalOrder) {
   EXPECT_TRUE(EntryBetter(TopKEntry{9, {}, 1.0}, a));  // distance first
 }
 
-TEST(EngineDeterminismTest, TiedEntriesKeepSmallestIdsAtAnyThreadCount) {
+TEST(EngineDeterminismTest, TiedEntriesKeepSmallestIdsAtAnyWorkerCount) {
   std::vector<geo::Trajectory> db = TiedDatabase(6);
+  // 6 copies tie at distance 0; k = 3 must keep ids 100, 101, 102 — the
+  // smallest under the total order — directly and on any pool width.
+  std::span<const geo::Point> query = db[0].View();
   SimSubEngine engine(db);
   algo::ExactS exact(&kDtw);
-  // 6 copies tie at distance 0; k = 3 must keep ids 100, 101, 102 — the
-  // smallest under the total order — however the scan is partitioned.
-  std::span<const geo::Point> query = db[0].View();
-  for (int threads : {1, 2, 3, 8}) {
-    QueryReport report = RunQuery(engine, query, exact, 3, threads);
-    ASSERT_EQ(report.results.size(), 3u) << "threads=" << threads;
+  std::vector<QueryReport> reports = {RunQuery(engine, query, exact, 3)};
+  for (int workers : {1, 2, 3, 8}) {
+    for (QueryReport& r : ServeConcurrently(db, query, 3, workers, 4)) {
+      reports.push_back(std::move(r));
+    }
+  }
+  for (size_t r = 0; r < reports.size(); ++r) {
+    ASSERT_EQ(reports[r].results.size(), 3u) << "report " << r;
     for (int i = 0; i < 3; ++i) {
-      EXPECT_EQ(report.results[static_cast<size_t>(i)].trajectory_id, 100 + i)
-          << "threads=" << threads;
-      EXPECT_EQ(report.results[static_cast<size_t>(i)].distance, 0.0)
-          << "threads=" << threads;
+      EXPECT_EQ(reports[r].results[static_cast<size_t>(i)].trajectory_id,
+                100 + i)
+          << "report " << r;
+      EXPECT_EQ(reports[r].results[static_cast<size_t>(i)].distance, 0.0)
+          << "report " << r;
     }
   }
 }
 
-TEST(EngineDeterminismTest, RepeatedParallelQueriesAreIdentical) {
+TEST(EngineDeterminismTest, RepeatedConcurrentQueriesAreIdentical) {
   std::vector<geo::Trajectory> db = TiedDatabase(4);
-  SimSubEngine engine(db);
-  algo::ExactS exact(&kDtw);
   std::span<const geo::Point> query = db[0].View();
-  QueryReport first = RunQuery(engine, query, exact, 5, 4);
-  for (int run = 0; run < 5; ++run) {
-    QueryReport again = RunQuery(engine, query, exact, 5, 4);
+  std::vector<QueryReport> reports =
+      ServeConcurrently(db, query, 5, /*workers=*/4, /*copies=*/6);
+  const QueryReport& first = reports.front();
+  for (size_t run = 1; run < reports.size(); ++run) {
+    const QueryReport& again = reports[run];
     ASSERT_EQ(again.results.size(), first.results.size()) << "run " << run;
+    EXPECT_EQ(again.trajectories_scanned, first.trajectories_scanned);
+    EXPECT_EQ(again.lb_skipped, first.lb_skipped);
+    EXPECT_EQ(again.dp_abandoned, first.dp_abandoned);
     for (size_t i = 0; i < first.results.size(); ++i) {
       EXPECT_EQ(again.results[i].trajectory_id,
                 first.results[i].trajectory_id);
@@ -97,7 +127,7 @@ TEST(EngineDeterminismTest, ResultsAscendUnderTheTotalOrder) {
   std::vector<geo::Trajectory> db = TiedDatabase(5);
   SimSubEngine engine(db);
   algo::ExactS exact(&kDtw);
-  QueryReport report = RunQuery(engine, db[0].View(), exact, 9, 2);
+  QueryReport report = RunQuery(engine, db[0].View(), exact, 9);
   for (size_t i = 1; i < report.results.size(); ++i) {
     EXPECT_TRUE(EntryBetter(report.results[i - 1], report.results[i]))
         << "entries " << i - 1 << " and " << i;

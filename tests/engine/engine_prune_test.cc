@@ -1,6 +1,6 @@
 // The lower-bound pruning cascade must never change WHAT a top-k query
-// returns — only how much work it does. Pruned results (any thread count)
-// are compared bit-for-bit against the unpruned sequential scan, across
+// returns — only how much work it does. Pruned results are compared
+// bit-for-bit against the unpruned scan, across
 // measures from each aggregation family (sum: DTW; max: Frechet, Hausdorff;
 // other/no-MBR-bound: EDR) and across the bailout-aware algorithms
 // (ExactS, SizeS, PSS). The subtrajectory-level top-k is held to the same
@@ -65,7 +65,7 @@ void ExpectSameResults(const QueryReport& want, const QueryReport& got,
   }
 }
 
-TEST(EnginePruneTest, PrunedTopKBitIdenticalAcrossMeasuresAndThreads) {
+TEST(EnginePruneTest, PrunedTopKBitIdenticalAcrossMeasures) {
   std::vector<geo::Trajectory> db = MakeDatabase(36, 511);
   SimSubEngine engine(db);
 
@@ -85,16 +85,11 @@ TEST(EnginePruneTest, PrunedTopKBitIdenticalAcrossMeasuresAndThreads) {
         unpruned.prune = false;
         QueryReport want = engine.Query(query, search, unpruned);
 
-        for (int threads : {1, 2, 8}) {
-          QueryOptions pruned;
-          pruned.k = k;
-          pruned.threads = threads;
-          pruned.prune = true;
-          QueryReport got = engine.Query(query, search, pruned);
-          ExpectSameResults(want, got,
-                            m->name() + " k=" + std::to_string(k) +
-                                " threads=" + std::to_string(threads));
-        }
+        QueryOptions pruned;
+        pruned.k = k;
+        pruned.prune = true;
+        QueryReport got = engine.Query(query, search, pruned);
+        ExpectSameResults(want, got, m->name() + " k=" + std::to_string(k));
       }
     }
   }
@@ -114,13 +109,10 @@ TEST(EnginePruneTest, PrunedSizeSAndPssMatchUnpruned) {
       unpruned.k = 3;
       unpruned.prune = false;
       QueryReport want = engine.Query(query, *search, unpruned);
-      for (int threads : {1, 2, 8}) {
-        QueryOptions pruned;
-        pruned.k = 3;
-        pruned.threads = threads;
-        QueryReport got = engine.Query(query, *search, pruned);
-        ExpectSameResults(want, got, search->name());
-      }
+      QueryOptions pruned;
+      pruned.k = 3;
+      QueryReport got = engine.Query(query, *search, pruned);
+      ExpectSameResults(want, got, search->name());
     }
   }
 }
@@ -172,17 +164,13 @@ TEST(EnginePruneTest, PrunedPssMatchesOnRandomBoxTrajectories) {
         unpruned.k = k;
         unpruned.prune = false;
         QueryReport want = engine.Query(query, *search, unpruned);
-        for (int threads : {1, 3}) {
-          QueryOptions pruned;
-          pruned.k = k;
-          pruned.threads = threads;
-          QueryReport got = engine.Query(query, *search, pruned);
-          ExpectSameResults(want, got,
-                            search->name() + " random-box trial " +
-                                std::to_string(trial) + " k=" +
-                                std::to_string(k) + " threads=" +
-                                std::to_string(threads));
-        }
+        QueryOptions pruned;
+        pruned.k = k;
+        QueryReport got = engine.Query(query, *search, pruned);
+        ExpectSameResults(want, got,
+                          search->name() + " random-box trial " +
+                              std::to_string(trial) + " k=" +
+                              std::to_string(k));
       }
     }
   }

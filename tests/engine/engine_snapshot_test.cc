@@ -1,9 +1,9 @@
 // Property test for the snapshot-backed engine: for random generated
 // corpora, an engine constructed over a mmap'd snapshot must return
 // BIT-identical top-k results to the in-memory engine built from the same
-// trajectories — pruned and unpruned, at any thread count, under every
-// candidate filter — and the planner must see identical persisted
-// statistics.
+// trajectories — pruned and unpruned, under every candidate filter, and
+// served through a query service at any worker count — and the planner
+// must see identical persisted statistics.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -42,6 +42,9 @@ void ExpectSameResults(const QueryReport& a, const QueryReport& b,
     EXPECT_EQ(a.results[i].distance, b.results[i].distance)
         << context << " entry " << i;
   }
+  EXPECT_EQ(a.trajectories_scanned, b.trajectories_scanned) << context;
+  EXPECT_EQ(a.lb_skipped, b.lb_skipped) << context;
+  EXPECT_EQ(a.dp_abandoned, b.dp_abandoned) << context;
 }
 
 TEST(EngineSnapshotTest, SnapshotEngineIsBitIdenticalToInMemory) {
@@ -78,26 +81,22 @@ TEST(EngineSnapshotTest, SnapshotEngineIsBitIdenticalToInMemory) {
       for (const auto& pair : workload) {
         for (const Case& c : cases) {
           for (bool prune : {false, true}) {
-            for (int threads : {1, 4}) {
-              for (PruningFilter filter :
-                   {PruningFilter::kNone, PruningFilter::kRTree,
-                    PruningFilter::kInvertedGrid}) {
-                QueryOptions qo;
-                qo.k = 5;
-                qo.filter = filter;
-                qo.threads = threads;
-                qo.prune = prune;
-                QueryReport a =
-                    mem_engine.Query(pair.query.View(), *c.search, qo);
-                QueryReport b =
-                    snap_engine.Query(pair.query.View(), *c.search, qo);
-                ExpectSameResults(
-                    a, b,
-                    std::string(c.label) + " prune=" + std::to_string(prune) +
-                        " threads=" + std::to_string(threads) + " filter=" +
-                        PruningFilterName(filter) + " seed=" +
-                        std::to_string(seed));
-              }
+            for (PruningFilter filter :
+                 {PruningFilter::kNone, PruningFilter::kRTree,
+                  PruningFilter::kInvertedGrid}) {
+              QueryOptions qo;
+              qo.k = 5;
+              qo.filter = filter;
+              qo.prune = prune;
+              QueryReport a =
+                  mem_engine.Query(pair.query.View(), *c.search, qo);
+              QueryReport b =
+                  snap_engine.Query(pair.query.View(), *c.search, qo);
+              ExpectSameResults(
+                  a, b,
+                  std::string(c.label) + " prune=" + std::to_string(prune) +
+                      " filter=" + PruningFilterName(filter) + " seed=" +
+                      std::to_string(seed));
             }
           }
         }
@@ -138,8 +137,6 @@ TEST(EngineSnapshotTest, PlannerSeesIdenticalPersistedStats) {
 }
 
 TEST(EngineSnapshotTest, QueryServiceOverSnapshotMatchesInMemoryService) {
-  similarity::DtwMeasure dtw;
-  algo::ExactS exact(&dtw);
   data::Dataset dataset = data::GenerateDataset(data::DatasetKind::kPorto,
                                                 30, 7);
   auto workload = data::SampleWorkload(dataset, 6, 8);
@@ -148,26 +145,35 @@ TEST(EngineSnapshotTest, QueryServiceOverSnapshotMatchesInMemoryService) {
   auto snapshot = data::CorpusSnapshot::Open(path);
   ASSERT_TRUE(snapshot.ok()) << snapshot.status();
 
-  service::ServiceOptions options;
-  options.threads = 3;
-  service::QueryService mem_service(
-      SimSubEngine(std::move(dataset.trajectories)), options);
-  service::QueryService snap_service(**snapshot, options);
-
-  std::vector<service::BatchQuery> queries;
+  std::vector<service::QuerySpec> specs;
   for (const auto& pair : workload) {
-    queries.push_back(service::BatchQuery{pair.query.View(), 4, std::nullopt});
+    service::QuerySpec spec;
+    spec.points = pair.query.View();
+    spec.k = 4;
+    specs.push_back(spec);
   }
-  auto mem_reports = mem_service.RunBatch(queries, exact);
-  auto snap_reports = snap_service.RunBatch(queries, exact);
-  ASSERT_EQ(mem_reports.size(), snap_reports.size());
-  for (size_t i = 0; i < mem_reports.size(); ++i) {
-    // Identical stats => identical plans => identical candidate sets.
-    EXPECT_EQ(mem_reports[i].filter_used, snap_reports[i].filter_used);
-    EXPECT_EQ(mem_reports[i].planned_selectivity,
-              snap_reports[i].planned_selectivity);
-    ExpectSameResults(mem_reports[i], snap_reports[i],
-                      "service query " + std::to_string(i));
+  // The in-memory service answers each spec inline: the reference.
+  service::ServiceOptions inline_options;
+  inline_options.threads = 1;
+  service::QueryService mem_service(SimSubEngine(dataset.trajectories),
+                                    inline_options);
+  std::vector<QueryReport> mem_reports;
+  for (const auto& spec : specs) mem_reports.push_back(mem_service.RunOne(spec));
+
+  for (int workers : {1, 3}) {
+    service::ServiceOptions options;
+    options.threads = workers;
+    service::QueryService snap_service(**snapshot, options);
+    auto futures = snap_service.SubmitBatch(specs);
+    for (size_t i = 0; i < specs.size(); ++i) {
+      QueryReport snap = futures[i].get();
+      // Identical stats => identical plans => identical candidate sets.
+      EXPECT_EQ(mem_reports[i].filter_used, snap.filter_used);
+      EXPECT_EQ(mem_reports[i].planned_selectivity, snap.planned_selectivity);
+      ExpectSameResults(mem_reports[i], snap,
+                        "service query " + std::to_string(i) + " workers=" +
+                            std::to_string(workers));
+    }
   }
   std::remove(path.c_str());
 }

@@ -20,11 +20,10 @@ data::Dataset SmallDataset() {
 
 QueryReport RunQuery(const SimSubEngine& engine, std::span<const geo::Point> query,
                 const algo::SubtrajectorySearch& search, int k,
-                PruningFilter filter = PruningFilter::kNone, int threads = 1) {
+                PruningFilter filter = PruningFilter::kNone) {
   QueryOptions options;
   options.k = k;
   options.filter = filter;
-  options.threads = threads;
   return engine.Query(query, search, options);
 }
 
@@ -170,23 +169,6 @@ TEST(EngineTest, UncancelledFlagLeavesResultsIntact) {
   }
 }
 
-TEST(EngineTest, ParallelScanMatchesSequential) {
-  data::Dataset d = SmallDataset();
-  SimSubEngine engine(d.trajectories);
-  algo::ExactS exact(&kDtw);
-  const auto& query = d.trajectories[9];
-  auto seq = RunQuery(engine, query.View(), exact, 8, PruningFilter::kNone,
-                 /*threads=*/1);
-  auto par = RunQuery(engine, query.View(), exact, 8, PruningFilter::kNone,
-                 /*threads=*/4);
-  EXPECT_EQ(seq.trajectories_scanned, par.trajectories_scanned);
-  ASSERT_EQ(seq.results.size(), par.results.size());
-  for (size_t i = 0; i < seq.results.size(); ++i) {
-    EXPECT_EQ(seq.results[i].trajectory_id, par.results[i].trajectory_id);
-    EXPECT_DOUBLE_EQ(seq.results[i].distance, par.results[i].distance);
-  }
-}
-
 TEST(EngineTest, SubtrajectoryTopKAllowsMultiplePerTrajectory) {
   data::Dataset d = SmallDataset();
   SimSubEngine engine(d.trajectories);
@@ -260,22 +242,6 @@ TEST(EngineTest, SubtrajectoryTopKRespectsMinSize) {
                                                 /*min_size=*/10);
   for (const auto& e : report.results) {
     EXPECT_GE(e.range.size(), 10);
-  }
-}
-
-TEST(EngineTest, ParallelWithFilterMatchesSequential) {
-  data::Dataset d = SmallDataset();
-  SimSubEngine engine(d.trajectories);
-  engine.BuildInvertedIndex();
-  algo::ExactS exact(&kDtw);
-  const auto& query = d.trajectories[14];
-  auto seq = RunQuery(engine, query.View(), exact, 5, PruningFilter::kInvertedGrid,
-                 /*threads=*/1);
-  auto par = RunQuery(engine, query.View(), exact, 5, PruningFilter::kInvertedGrid,
-                 /*threads=*/3);
-  ASSERT_EQ(seq.results.size(), par.results.size());
-  for (size_t i = 0; i < seq.results.size(); ++i) {
-    EXPECT_EQ(seq.results[i].trajectory_id, par.results[i].trajectory_id);
   }
 }
 

@@ -1,8 +1,8 @@
 // Cross-algorithm invariant suite: for randomized databases and queries and
 // every registered similarity measure, the approximate SimSub algorithms
 // (SizeS, PSS, RLS, UCR, Spring) can never beat ExactS's optimum, the two
-// exact engine paths agree, and engine results do not depend on the scan
-// thread count.
+// exact engine paths agree, and engine results do not depend on how many
+// service workers run queries at once.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -19,6 +19,7 @@
 #include "data/generator.h"
 #include "engine/engine.h"
 #include "rl/trainer.h"
+#include "service/query_service.h"
 #include "similarity/dtw.h"
 #include "similarity/registry.h"
 #include "util/random.h"
@@ -157,7 +158,7 @@ TEST(AlgoInvariantsTest, ExactSAgreesWithTopKSubtrajectoriesTop1) {
   }
 }
 
-TEST(AlgoInvariantsTest, EngineResultsInvariantUnderThreadCount) {
+TEST(AlgoInvariantsTest, EngineResultsInvariantUnderWorkerCount) {
   for (uint64_t seed : {81u, 82u}) {
     std::vector<geo::Trajectory> db = MakeDatabase(seed, 12, 26);
     util::Rng rng(seed * 13);
@@ -169,33 +170,42 @@ TEST(AlgoInvariantsTest, EngineResultsInvariantUnderThreadCount) {
       ASSERT_TRUE(measure.ok()) << name;
       algo::ExactS exact(measure->get());
       engine::SimSubEngine engine(db);
+      engine::QueryOptions options;
+      options.k = 5;
+      engine::QueryReport direct = engine.Query(query.View(), exact, options);
 
-      engine::QueryOptions seq_options;
-      seq_options.k = 5;
-      seq_options.threads = 1;
-      engine::QueryOptions par_options = seq_options;
-      par_options.threads = 8;
-      engine::QueryReport sequential =
-          engine.Query(query.View(), exact, seq_options);
-      engine::QueryReport parallel =
-          engine.Query(query.View(), exact, par_options);
-
-      ASSERT_EQ(sequential.results.size(), parallel.results.size()) << name;
-      for (size_t i = 0; i < sequential.results.size(); ++i) {
-        EXPECT_EQ(sequential.results[i].trajectory_id,
-                  parallel.results[i].trajectory_id)
-            << name << " entry " << i;
-        EXPECT_EQ(sequential.results[i].range, parallel.results[i].range)
-            << name << " entry " << i;
-        // Bit-identical, not approximately equal: the partitions compute
-        // the same per-trajectory distances and the merge order is total.
-        EXPECT_EQ(sequential.results[i].distance,
-                  parallel.results[i].distance)
-            << name << " entry " << i;
+      service::QuerySpec spec;
+      spec.points = query.View();
+      spec.measure = name;
+      spec.k = 5;
+      spec.filter = engine::PruningFilter::kNone;
+      const std::vector<service::QuerySpec> specs(4, spec);
+      for (int workers : {1, 8}) {
+        service::ServiceOptions service_options;
+        service_options.threads = workers;
+        service::QueryService service(engine::SimSubEngine(db),
+                                      service_options);
+        for (auto& future : service.SubmitBatch(specs)) {
+          engine::QueryReport served = future.get();
+          const std::string tag = name + " workers=" + std::to_string(workers);
+          ASSERT_EQ(direct.results.size(), served.results.size()) << tag;
+          for (size_t i = 0; i < direct.results.size(); ++i) {
+            EXPECT_EQ(direct.results[i].trajectory_id,
+                      served.results[i].trajectory_id)
+                << tag << " entry " << i;
+            EXPECT_EQ(direct.results[i].range, served.results[i].range)
+                << tag << " entry " << i;
+            // Bit-identical, not approximately equal: every query is the
+            // same sequential scan whichever worker runs it.
+            EXPECT_EQ(direct.results[i].distance, served.results[i].distance)
+                << tag << " entry " << i;
+          }
+          EXPECT_EQ(direct.trajectories_scanned, served.trajectories_scanned)
+              << tag;
+          EXPECT_EQ(direct.lb_skipped, served.lb_skipped) << tag;
+          EXPECT_EQ(direct.dp_abandoned, served.dp_abandoned) << tag;
+        }
       }
-      EXPECT_EQ(sequential.trajectories_scanned,
-                parallel.trajectories_scanned)
-          << name;
     }
   }
 }

@@ -292,6 +292,10 @@ TEST(ServerTest, ThrowingExecutionsReleaseTheirInflightSlots) {
   ServerStats stats = server.stats();
   EXPECT_EQ(stats.shed_inflight, 0);
   EXPECT_EQ(stats.queries_answered, 3);
+  // Both thrown executions count as failures in the service's own stats
+  // (what statz reports), not only in the server's Internal answers.
+  EXPECT_EQ(service.stats().failed, 2);
+  EXPECT_EQ(service.stats().queries_served, 1);
   server.Stop();
 }
 

@@ -1,21 +1,19 @@
-// QueryService and QueryPlanner behavior: batch/sequential equivalence,
+// QueryService and QueryPlanner behavior: async/sequential equivalence,
 // planner decisions, explicit overrides, scratch reuse accounting.
 #include "service/query_service.h"
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <span>
 #include <vector>
 
-#include "algo/exacts.h"
 #include "data/generator.h"
 #include "data/workload.h"
 #include "service/planner.h"
-#include "similarity/dtw.h"
 
 namespace simsub::service {
 namespace {
-
-similarity::DtwMeasure kDtw;
 
 data::Dataset SmallDataset() {
   return data::GenerateDataset(data::DatasetKind::kPorto, 40, 4407);
@@ -35,41 +33,46 @@ TEST(QueryServiceTest, BuildsBothIndexes) {
   EXPECT_TRUE(service.engine().has_inverted_index());
 }
 
-TEST(QueryServiceTest, RunBatchMatchesSequentialExecutionBitwise) {
+QuerySpec Spec(std::span<const geo::Point> points, int k,
+               std::optional<engine::PruningFilter> filter = std::nullopt) {
+  QuerySpec spec;
+  spec.points = points;
+  spec.k = k;
+  spec.filter = filter;
+  return spec;
+}
+
+TEST(QueryServiceTest, SubmitBatchMatchesSequentialExecutionBitwise) {
   data::Dataset d = SmallDataset();
   auto workload = data::SampleWorkload(d, 12, 4408);
   QueryService service(engine::SimSubEngine(std::move(d.trajectories)),
                        []{ ServiceOptions o; o.threads = 4; return o; }());
-  algo::ExactS exact(&kDtw);
 
-  std::vector<BatchQuery> queries;
-  for (const auto& pair : workload) {
-    queries.push_back(BatchQuery{pair.query.View(), 5, std::nullopt});
-  }
-  std::vector<engine::QueryReport> batch = service.RunBatch(queries, exact);
-  ASSERT_EQ(batch.size(), queries.size());
+  std::vector<QuerySpec> specs;
+  for (const auto& pair : workload) specs.push_back(Spec(pair.query.View(), 5));
+  auto futures = service.SubmitBatch(specs);
+  ASSERT_EQ(futures.size(), specs.size());
 
-  for (size_t i = 0; i < queries.size(); ++i) {
-    engine::QueryReport one = service.RunOne(queries[i], exact);
-    ASSERT_EQ(batch[i].results.size(), one.results.size()) << "query " << i;
-    EXPECT_EQ(batch[i].filter_used, one.filter_used) << "query " << i;
-    EXPECT_EQ(batch[i].trajectories_scanned, one.trajectories_scanned);
+  for (size_t i = 0; i < specs.size(); ++i) {
+    engine::QueryReport batch = futures[i].get();
+    engine::QueryReport one = service.RunOne(specs[i]);
+    ASSERT_EQ(batch.results.size(), one.results.size()) << "query " << i;
+    EXPECT_EQ(batch.filter_used, one.filter_used) << "query " << i;
+    EXPECT_EQ(batch.trajectories_scanned, one.trajectories_scanned);
     for (size_t j = 0; j < one.results.size(); ++j) {
-      EXPECT_EQ(batch[i].results[j].trajectory_id,
-                one.results[j].trajectory_id);
-      EXPECT_EQ(batch[i].results[j].range, one.results[j].range);
-      // Bit-identical distances: the batch path must not change the math.
-      EXPECT_EQ(batch[i].results[j].distance, one.results[j].distance);
+      EXPECT_EQ(batch.results[j].trajectory_id, one.results[j].trajectory_id);
+      EXPECT_EQ(batch.results[j].range, one.results[j].range);
+      // Bit-identical distances: the pool path must not change the math.
+      EXPECT_EQ(batch.results[j].distance, one.results[j].distance);
     }
   }
 }
 
 TEST(QueryServiceTest, ExplicitFilterOverridesThePlanner) {
   QueryService service = MakeService(2);
-  algo::ExactS exact(&kDtw);
   const auto& db = service.engine().database();
-  BatchQuery q{db[0].View(), 3, engine::PruningFilter::kNone};
-  engine::QueryReport report = service.RunOne(q, exact);
+  engine::QueryReport report =
+      service.RunOne(Spec(db[0].View(), 3, engine::PruningFilter::kNone));
   EXPECT_EQ(report.filter_used, engine::PruningFilter::kNone);
   EXPECT_EQ(report.planned_selectivity, -1.0);
   EXPECT_STREQ(report.plan_reason, "explicit filter");
@@ -80,9 +83,8 @@ TEST(QueryServiceTest, ExplicitFilterOverridesThePlanner) {
 
 TEST(QueryServiceTest, PlannedQueriesRecordDecisionInReport) {
   QueryService service = MakeService(1);
-  algo::ExactS exact(&kDtw);
-  BatchQuery q{service.engine().database()[3].View(), 3, std::nullopt};
-  engine::QueryReport report = service.RunOne(q, exact);
+  engine::QueryReport report =
+      service.RunOne(Spec(service.engine().database()[3].View(), 3));
   EXPECT_GE(report.planned_selectivity, 0.0);
   EXPECT_LE(report.planned_selectivity, 1.0);
   EXPECT_STRNE(report.plan_reason, "");
@@ -93,13 +95,11 @@ TEST(QueryServiceTest, ScratchIsReusedAcrossQueriesAndBatches) {
   auto workload = data::SampleWorkload(d, 6, 4409);
   QueryService service(engine::SimSubEngine(std::move(d.trajectories)),
                        []{ ServiceOptions o; o.threads = 1; return o; }());
-  algo::ExactS exact(&kDtw);
-  std::vector<BatchQuery> queries;
-  for (const auto& pair : workload) {
-    queries.push_back(BatchQuery{pair.query.View(), 2, std::nullopt});
+  std::vector<QuerySpec> specs;
+  for (const auto& pair : workload) specs.push_back(Spec(pair.query.View(), 2));
+  for (int batch = 0; batch < 2; ++batch) {
+    for (auto& future : service.SubmitBatch(specs)) future.get();
   }
-  service.RunBatch(queries, exact);
-  service.RunBatch(queries, exact);
   ServiceStats stats = service.stats();
   EXPECT_EQ(stats.batches_served, 2);
   EXPECT_EQ(stats.queries_served, 12);
@@ -107,31 +107,25 @@ TEST(QueryServiceTest, ScratchIsReusedAcrossQueriesAndBatches) {
   EXPECT_GT(stats.evaluator_reuses, stats.evaluator_allocs);
 }
 
-TEST(QueryServiceTest, ReentrantRunBatchFromPoolWorkerDoesNotDeadlock) {
-  // A task on the service's own (width-1) pool calls RunBatch: the service
-  // must detect the re-entrancy and run inline instead of blocking on
-  // futures queued behind the caller.
+TEST(QueryServiceTest, RunOneFromPoolWorkerRunsInline) {
+  // A task on the service's own (width-1) pool calls RunOne: it runs on
+  // that worker's scratch without another pool hop, so it cannot deadlock.
   QueryService service = MakeService(1);
-  algo::ExactS exact(&kDtw);
-  std::vector<BatchQuery> queries = {
-      BatchQuery{service.engine().database()[0].View(), 2, std::nullopt}};
-  std::vector<engine::QueryReport> inner;
+  engine::QueryReport inner;
   service.pool()
-      .Submit([&] { inner = service.RunBatch(queries, exact); })
+      .Submit([&] {
+        inner = service.RunOne(Spec(service.engine().database()[0].View(), 2));
+      })
       .get();
-  ASSERT_EQ(inner.size(), 1u);
-  EXPECT_FALSE(inner[0].results.empty());
+  EXPECT_TRUE(inner.status.ok());
+  EXPECT_FALSE(inner.results.empty());
 }
 
 TEST(QueryServiceTest, StatsCountPlannerOutcomes) {
   QueryService service = MakeService(1);
-  algo::ExactS exact(&kDtw);
-  service.RunOne(
-      BatchQuery{service.engine().database()[0].View(), 1, std::nullopt},
-      exact);
-  service.RunOne(BatchQuery{service.engine().database()[1].View(), 1,
-                            engine::PruningFilter::kRTree},
-                 exact);
+  service.RunOne(Spec(service.engine().database()[0].View(), 1));
+  service.RunOne(Spec(service.engine().database()[1].View(), 1,
+                      engine::PruningFilter::kRTree));
   ServiceStats stats = service.stats();
   EXPECT_EQ(stats.queries_served, 2);
   EXPECT_EQ(stats.plans_none + stats.plans_rtree + stats.plans_grid, 2);

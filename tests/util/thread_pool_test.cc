@@ -85,7 +85,6 @@ TEST(ThreadPoolTest, NestedSubmitIsCountedByWaitAll) {
 TEST(ThreadPoolTest, WorkerIndexIdentifiesPoolThreads) {
   ThreadPool pool(3);
   EXPECT_EQ(pool.WorkerIndex(), -1);  // Caller is not a worker.
-  EXPECT_FALSE(pool.OnWorkerThread());
   std::vector<std::atomic<int>> seen(3);
   for (auto& s : seen) s.store(0);
   for (int i = 0; i < 64; ++i) {
@@ -93,7 +92,6 @@ TEST(ThreadPoolTest, WorkerIndexIdentifiesPoolThreads) {
       int w = pool.WorkerIndex();
       ASSERT_GE(w, 0);
       ASSERT_LT(w, pool.size());
-      EXPECT_TRUE(pool.OnWorkerThread());
       seen[static_cast<size_t>(w)].fetch_add(1);
     });
   }
@@ -148,15 +146,6 @@ TEST(ThreadPoolTest, StressConcurrentSubmitters) {
   pool.WaitAll();
   EXPECT_EQ(counter.load(), kSubmitters * kTasksEach +
                                 kSubmitters * (kTasksEach / 10));
-}
-
-TEST(ThreadPoolTest, SharedPoolIsSingletonAndUsable) {
-  ThreadPool& shared = ThreadPool::Shared();
-  EXPECT_EQ(&shared, &ThreadPool::Shared());
-  EXPECT_GE(shared.size(), 1);
-  std::atomic<bool> ran{false};
-  shared.Submit([&ran] { ran.store(true); }).get();
-  EXPECT_TRUE(ran.load());
 }
 
 }  // namespace

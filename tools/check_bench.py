@@ -65,16 +65,10 @@ SUITES = {
              "squared distance row SoA speedup"),
             (("dtw_extend", "speedup"), "DTW extend SoA speedup"),
             (("engine_topk", "speedup"), "engine top-k pruning speedup"),
-            # batched/sequential seconds from the same run, i.e. the
-            # batched-vs-one-at-a-time qps-per-core ratio — portable across
-            # runner speeds like every other gated ratio.
-            (("batched", "speedup"), "multi-query batched qps/core ratio"),
         ],
         "identities": [
             (("engine_topk", "pruned_identical_to_unpruned"),
              "pruned results identical to unpruned"),
-            (("batched", "identical_to_sequential"),
-             "batched results identical to sequential"),
         ],
     },
     "service_mixed": {

@@ -20,9 +20,10 @@
 // sections. With --batch it samples a query workload, wraps every query in
 // a declarative service::QuerySpec (measure + algorithm names resolved and
 // cached inside the service, optional per-request --deadline_ms), serves it
-// through QueryService::SubmitBatch (planner-chosen pruning, persistent
-// worker pool, reused evaluator scratch), and prints throughput plus
-// queueing vs execution tail latency.
+// through QueryService::SubmitBatch (planner-chosen pruning, a persistent
+// pool of --threads workers, reused evaluator scratch), and prints
+// throughput plus queueing vs execution tail latency. --threads is read
+// only with --batch: a single query is always one sequential scan.
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -220,7 +221,8 @@ int RunQuery(int argc, char** argv) {
   flags.AddInt("query_id", &query_id, "trajectory id used as the query");
   flags.AddInt("topk", &topk, "number of results");
   flags.AddInt("threads", &threads,
-               "parallel scan width (batch: worker pool size)");
+               "service worker pool size for --batch (a single query is "
+               "always one sequential scan)");
   flags.AddBool("index", &use_index, "use the R-tree filter");
   flags.AddBool("prune", &prune,
                 "lower-bound pruning cascade (results are identical either "
@@ -468,7 +470,6 @@ int RunQuery(int argc, char** argv) {
     engine::QueryOptions query_options;
     query_options.k = topk;
     query_options.filter = filter;
-    query_options.threads = threads;
     query_options.prune = prune;
     report = engine.Query(query_copy.View(), *search, query_options);
   }
